@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import catalog, checks, duality, harmonic, hopf, lattice
 from .errors import (
     ConventionFailure,
@@ -35,11 +33,9 @@ class RunConfig:
 
     command: str
     path: str | None
-    axiom_tol: float = 1e-12
-    state_tol: float = 1e-9
+    axiom_tol: float = hopf.AXIOM_TOL
+    state_tol: float = hopf.DERIVED_TOL
     dedup_tol: float = lattice.DEFAULT_DEDUP_TOL
-    conv_tol: float = lattice.DEFAULT_CONV_TOL
-    n_max: int = lattice.DEFAULT_N_MAX
     restarts: int = lattice.DEFAULT_RESTARTS
     seed: int = lattice.DEFAULT_SEED
     fmt: str = "text"
@@ -48,11 +44,9 @@ class RunConfig:
     name: str | None = None
 
     def __post_init__(self):
-        for field in ("axiom_tol", "state_tol", "dedup_tol", "conv_tol"):
+        for field in ("axiom_tol", "state_tol", "dedup_tol"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field.replace('_', '-')} must be positive")
-        if self.n_max < 1:
-            raise ValueError("n-max must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
 
@@ -61,15 +55,13 @@ class RunConfig:
         tol = getattr(args, "tol", None)
         if tol is None:
             env = os.environ.get("QGLAB_TOL")
-            tol = float(env) if env else 1e-9
+            tol = float(env) if env else hopf.DERIVED_TOL
         return cls(
             command=args.command,
             path=getattr(args, "file", None),
-            axiom_tol=getattr(args, "axiom_tol", 1e-12),
+            axiom_tol=getattr(args, "axiom_tol", hopf.AXIOM_TOL),
             state_tol=tol,
             dedup_tol=getattr(args, "dedup_tol", lattice.DEFAULT_DEDUP_TOL),
-            conv_tol=getattr(args, "conv_tol", lattice.DEFAULT_CONV_TOL),
-            n_max=getattr(args, "n_max", lattice.DEFAULT_N_MAX),
             restarts=getattr(args, "restarts", lattice.DEFAULT_RESTARTS),
             seed=getattr(args, "seed", lattice.DEFAULT_SEED),
             fmt=getattr(args, "fmt", "text"),
@@ -77,12 +69,6 @@ class RunConfig:
             strategy=getattr(args, "strategy", "auto"),
             name=getattr(args, "name", None),
         )
-
-
-def _pairs(arr: np.ndarray):
-    if arr.ndim == 1:
-        return [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in arr]
-    return [_pairs(sub) for sub in arr]
 
 
 def _dumps(obj) -> str:
@@ -100,15 +86,11 @@ def _emit(text: str, out_path: str | None) -> None:
 def _add_common(sub: argparse.ArgumentParser, with_file: bool = True) -> None:
     sub.add_argument("--tol", type=float, default=None,
                      help="tolerance for derived quantities "
-                          "(default 1e-9, or QGLAB_TOL)")
-    sub.add_argument("--axiom-tol", type=float, default=1e-12,
+                          f"(default {hopf.DERIVED_TOL:g}, or QGLAB_TOL)")
+    sub.add_argument("--axiom-tol", type=float, default=hopf.AXIOM_TOL,
                      help="tolerance for structural axioms")
     sub.add_argument("--seed", type=int, default=lattice.DEFAULT_SEED,
                      help="seed for randomized searches")
-    sub.add_argument("--conv-tol", type=float, default=lattice.DEFAULT_CONV_TOL,
-                     help="convergence tolerance for iterative limits")
-    sub.add_argument("--n-max", type=int, default=lattice.DEFAULT_N_MAX,
-                     help="step cap for iterative limits")
     sub.add_argument("--format", choices=("json", "dot", "text"),
                      default="text", dest="fmt")
     sub.add_argument("--out", default=None, help="write output to this path")
@@ -163,8 +145,8 @@ def _load(config: RunConfig) -> hopf.FiniteQuantumGroup:
 def _state_record(state) -> dict:
     return {
         "name": state.name,
-        "coeffs": _pairs(state.coeffs),
-        "q_perp": _pairs(state.q_perp),
+        "coeffs": hopf.complex_pairs(state.coeffs),
+        "q_perp": hopf.complex_pairs(state.q_perp),
         "coideal_dim": state.coideal.dim,
         "haar_type": bool(harmonic.haar_type_test(state)),
     }
@@ -200,8 +182,7 @@ def cmd_idempotents(config: RunConfig) -> int:
     group = _load(config)
     enum = lattice.enumerate_idempotents(
         group, strategy=config.strategy, restarts=config.restarts,
-        seed=config.seed, dedup_tol=config.dedup_tol, tol=config.state_tol,
-        conv_tol=config.conv_tol, n_max=config.n_max)
+        seed=config.seed, dedup_tol=config.dedup_tol, tol=config.state_tol)
     doc = {
         "group_hash": hopf.group_hash(hopf.with_haar(group)),
         "report": {
@@ -227,12 +208,9 @@ def cmd_idempotents(config: RunConfig) -> int:
 
 def cmd_lattice(config: RunConfig) -> int:
     group = _load(config)
-    enum = lattice.enumerate_idempotents(
+    lat = lattice.enumerate_idempotents(
         group, strategy=config.strategy, restarts=config.restarts,
-        seed=config.seed, tol=config.state_tol, conv_tol=config.conv_tol,
-        n_max=config.n_max)
-    lat = lattice.build_lattice(enum.states, config.state_tol,
-                                conv_tol=config.conv_tol, n_max=config.n_max)
+        seed=config.seed, tol=config.state_tol).lattice
     dot = lattice.to_dot(lat)
     if config.fmt == "dot":
         _emit(dot, config.out)
@@ -271,7 +249,7 @@ def cmd_dual(config: RunConfig) -> int:
                       sorted(pair.convention.residuals.items())},
     }
     if config.fmt == "json":
-        report["w"] = _pairs(pair.w)
+        report["w"] = hopf.complex_pairs(pair.w)
         if not config.out:
             report["dual_group"] = json.loads(dual_json)
         sys.stdout.write(_dumps(report))

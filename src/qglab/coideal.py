@@ -132,8 +132,7 @@ def gns_projection(coid: Coideal) -> np.ndarray:
 def coideal_to_dict(coid: Coideal) -> dict:
     """JSON form: basis vectors in algebra coordinates, plus flags."""
     return {
-        "basis": [[[float(z.real) + 0.0, float(z.imag) + 0.0] for z in col]
-                  for col in coid.basis.T],
+        "basis": hopf.complex_pairs(coid.basis.T),
         "flags": {"is_subalgebra": coid.is_subalgebra,
                   "is_star_closed": coid.is_star_closed,
                   "is_coideal": coid.is_coideal,
@@ -332,9 +331,10 @@ def state_from_coideal(coid: Coideal, tol: float = DEFAULT_TOL,
     """The unique idempotent state whose expectation range is the coideal.
 
     The candidate is the counit composed with the trace-preserving
-    expectation; the construction then verifies idempotency, that the range
-    comes back unchanged, and the projection identity of the coideal's GNS
-    projection against the regular unitary.
+    expectation; the construction then verifies idempotency and that the
+    range comes back unchanged.  The projection identity of the coideal's
+    GNS projection against the regular unitary is a theorem about the
+    resulting state; the property suite verifies it for every state.
     """
     failing = [name2 for name2, ok in
                [("subalgebra", coid.is_subalgebra),
@@ -355,13 +355,4 @@ def state_from_coideal(coid: Coideal, tol: float = DEFAULT_TOL,
     gap = subspace_distance(state.coideal.gns_basis(), coid.gns_basis())
     if gap > 100 * tol:
         raise NotACoideal(f"state's range differs from the input coideal ({gap:.2e})")
-    from .duality import regular_unitary  # deferred: duality builds on this module
-
-    w = regular_unitary(group).w
-    p = coid.l2_projector()
-    eye = np.eye(group.dim)
-    pp = dagger(w) @ np.kron(eye, p) @ w @ np.kron(p, eye) - np.kron(p, p)
-    if frob(pp) > 100 * tol:
-        raise NotACoideal(
-            f"coideal projection fails the dual projection identity ({frob(pp):.2e})")
     return state

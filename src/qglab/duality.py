@@ -199,7 +199,6 @@ class ConventionReport:
 class DualPair:
     group: hopf.FiniteQuantumGroup
     dual_group: hopf.FiniteQuantumGroup
-    pairing: np.ndarray
     w: np.ndarray
     lambda_rep: np.ndarray
     regular: RegularUnitary
@@ -260,8 +259,7 @@ def dual(group: hopf.FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> DualPair:
     names = tuple(f"comult_flip={c}" for c in candidates)
     report = ConventionReport(w_kind=reg.kind, comult_flip=flip,
                               residuals=res, candidates_passing=names)
-    return DualPair(group=group, dual_group=dual_group,
-                    pairing=np.eye(group.dim, dtype=complex), w=reg.w,
+    return DualPair(group=group, dual_group=dual_group, w=reg.w,
                     lambda_rep=reg.second_legs, regular=reg, convention=report)
 
 

@@ -39,7 +39,7 @@ from .linalg import (
 if TYPE_CHECKING:  # pragma: no cover
     from .coideal import Coideal
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = hopf.DERIVED_TOL
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -368,8 +368,7 @@ def preceq(mu, nu, tol: float = DEFAULT_TOL) -> bool:
 def functional_to_dict(phi: Functional) -> dict:
     """JSON form: the covector plus the content hash of its group."""
     doc = {
-        "coeffs": [[float(z.real) + 0.0, float(z.imag) + 0.0]
-                   for z in phi.coeffs],
+        "coeffs": hopf.complex_pairs(phi.coeffs),
         "group_hash": hopf.group_hash(hopf.with_haar(phi.home)),
     }
     if phi.name:

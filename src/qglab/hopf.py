@@ -104,9 +104,6 @@ class FiniteQuantumGroup:
     def coproduct(self, a) -> np.ndarray:
         return np.einsum("i,ijk->jk", np.asarray(a, complex), self.comult)
 
-    def counit_of(self, a) -> complex:
-        return complex(np.dot(self.counit, np.asarray(a, complex)))
-
     def antipode_of(self, a) -> np.ndarray:
         return self.antipode @ np.asarray(a, complex)
 
@@ -115,14 +112,6 @@ class FiniteQuantumGroup:
             raise NoHaarState("group carries no invariant state; "
                               "call compute_haar/with_haar first")
         return complex(np.dot(self.haar, np.asarray(a, complex)))
-
-    def left_mult_matrix(self, a) -> np.ndarray:
-        """Matrix of x -> a x on coefficient columns."""
-        return np.einsum("i,ijk->kj", np.asarray(a, complex), self.mult)
-
-    def right_mult_matrix(self, a) -> np.ndarray:
-        """Matrix of x -> x a on coefficient columns."""
-        return np.einsum("j,ijk->ki", np.asarray(a, complex), self.mult)
 
     # tensor-square helpers; X, Y are (n, n) coefficient matrices
     def tensor_multiply(self, x, y) -> np.ndarray:
@@ -341,9 +330,6 @@ class GnsSpace:
     def embed(self, a) -> np.ndarray:
         return self.orthonormal_basis @ np.asarray(a, complex)
 
-    def unembed(self, v) -> np.ndarray:
-        return self.inverse_basis @ np.asarray(v, complex)
-
     def represent(self, x) -> np.ndarray:
         return np.einsum("i,iab->ab", np.asarray(x, complex), self.left_mult)
 
@@ -477,14 +463,11 @@ def group_algebra(table, labels=None) -> FiniteQuantumGroup:
 # JSON serialization
 # ----------------------------------------------------------------------
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real) + 0.0, float(z.imag) + 0.0]
-
-
-def _pairs(arr: np.ndarray):
+def complex_pairs(arr: np.ndarray):
+    """Nested [re, im] lists of a complex array; negative zeros print as 0.0."""
     if arr.ndim == 1:
-        return [_pair(z) for z in arr]
-    return [_pairs(sub) for sub in arr]
+        return [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in arr]
+    return [complex_pairs(sub) for sub in arr]
 
 
 def _complex_at(obj, path: str) -> complex:
@@ -508,15 +491,15 @@ def _tensor_at(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
 def save_dict(group: FiniteQuantumGroup) -> dict:
     doc = {
         "dim": group.dim,
-        "mult": _pairs(group.mult),
-        "unit": _pairs(group.unit),
-        "comult": _pairs(group.comult),
-        "counit": _pairs(group.counit),
-        "antipode": _pairs(group.antipode),
-        "star": _pairs(group.star),
+        "mult": complex_pairs(group.mult),
+        "unit": complex_pairs(group.unit),
+        "comult": complex_pairs(group.comult),
+        "counit": complex_pairs(group.counit),
+        "antipode": complex_pairs(group.antipode),
+        "star": complex_pairs(group.star),
     }
     if group.haar is not None:
-        doc["haar"] = _pairs(group.haar)
+        doc["haar"] = complex_pairs(group.haar)
     if group.labels is not None:
         doc["labels"] = list(group.labels)
     return doc

@@ -4,8 +4,10 @@ The meet of two idempotent states is carried by the subalgebra generated by
 their expectation ranges; the join is the limit of convolution powers of
 their product, cross-checked against the alternating-projection limit on
 the GNS space.  Enumeration either reads a recognized built-in's subgroup
-catalog or runs a multistart damped Gauss-Newton search, and the resulting
-set is closed under both operations before lattice tables are built.
+catalog or runs a multistart damped Gauss-Newton search.  One closure then
+computes the meet and the join of every pair once, appending any result
+that is new; its tables, permuted into canonical order, are the lattice
+that enumeration returns, so nothing downstream recomputes an operation.
 
 Everything here is a pure function of immutable inputs: search restarts
 are independent draws from one seeded stream and results merge by sorted
@@ -68,12 +70,6 @@ class JoinDiagnostics:
     slice_residual: float
     two_path_distance: float
     l2_intersection_residual: float
-    cesaro_used: bool
-
-
-def _cesaro_candidate(history: list[np.ndarray]) -> np.ndarray:
-    """Window average of iterates; damps rotating components."""
-    return np.mean(np.stack(history), axis=0)
 
 
 def join(a, b, tol: float = DEFAULT_TOL, conv_tol: float = DEFAULT_CONV_TOL,
@@ -91,55 +87,40 @@ def join_with_diagnostics(a, b, tol: float = DEFAULT_TOL,
                           n_max: int = DEFAULT_N_MAX):
     """Convolution-power limit with the alternating-projection cross-check.
 
-    The formal zero absorbs the operation; a finite quantum group never
-    produces it from honest states, and hitting it internally is an error.
+    In finite dimension the powers of the product of two projections
+    converge geometrically to the projection onto the intersection of their
+    ranges, and slicing the regular unitary is injective, so the plain
+    convolution powers converge too.  The formal zero absorbs the
+    operation; a finite quantum group never produces it from honest states,
+    and hitting it internally is an error.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
     if isinstance(a, ZeroState) or isinstance(b, ZeroState):
-        return ZERO_STATE, JoinDiagnostics(0, 0.0, 0.0, 0.0, 0.0, False)
+        return ZERO_STATE, JoinDiagnostics(0, 0.0, 0.0, 0.0, 0.0)
     require_same_home(a.functional, b.functional)
     group = a.home
-    reg = duality.regular_unitary(group)
+    reg = duality.regular_unitary(group, tol)   # the call form `dual` caches
 
     step = convolve(a.functional, b.functional)
     current = step
-    proj_a, proj_b = a.l2_projection, b.l2_projection
-    factor = proj_a @ proj_b
+    factor = a.l2_projection @ b.l2_projection
     matrix_power = factor.copy()
     slice_residual = 0.0
-    history: list[np.ndarray] = []
-    residuals: list[float] = []
-    cesaro_used = False
-    iterations = None
-    window = 50
-    for n in range(1, n_max + 1):
-        if n <= 64 or n % 16 == 0:
+    for iterations in range(1, n_max + 1):
+        if iterations <= 64 or iterations % 16 == 0:
             lam = duality.slice_second_leg(reg, current)
             slice_residual = max(slice_residual, frob(lam - matrix_power))
         nxt = convolve(current, step)
-        r = sup(nxt.coeffs - current.coeffs)
-        residuals.append(r)
-        history.append(current.coeffs)
-        if len(history) > window:
-            history.pop(0)
-        if r < conv_tol:
-            current = nxt
-            iterations = n
-            break
-        if (len(residuals) > 2 * window
-                and min(residuals[-window:]) > 0.5 * min(residuals[:-window])
-                and r > conv_tol):
-            candidate = Functional(home=group, coeffs=_cesaro_candidate(history))
-            if sup(convolve(candidate, candidate).coeffs - candidate.coeffs) < np.sqrt(conv_tol):
-                current = candidate
-                cesaro_used = True
-                iterations = n
-                break
+        residual = sup(nxt.coeffs - current.coeffs)
         current = nxt
+        if residual < conv_tol:
+            break
         matrix_power = matrix_power @ factor
-    if iterations is None:
+    else:
         raise NoConvergence(
             f"convolution powers did not stabilize in {n_max} steps "
-            f"(last residual {residuals[-1]:.2e})")
+            f"(last residual {residual:.2e})")
     if abs(current(group.unit) - 1.0) > 0.5:
         raise InternalInconsistency(
             "join collapsed toward the formal zero on a finite quantum group")
@@ -169,10 +150,167 @@ def join_with_diagnostics(a, b, tol: float = DEFAULT_TOL,
     if not (preceq(a, result, tol) and preceq(b, result, tol)):
         raise InternalInconsistency("join does not dominate its arguments")
     diag = JoinDiagnostics(
-        iterations=iterations, power_residual=residuals[-1],
+        iterations=iterations, power_residual=residual,
         slice_residual=slice_residual, two_path_distance=two_path,
-        l2_intersection_residual=l2_res, cesaro_used=cesaro_used)
+        l2_intersection_residual=l2_res)
     return result, diag
+
+
+# ----------------------------------------------------------------------
+# the lattice: one closure computes every operation
+# ----------------------------------------------------------------------
+
+@dataclasses.dataclass
+class IdempotentLattice:
+    """States with their order, operation tables and Hasse diagram.
+
+    join_diagnostics[i][j] is the diagnostics record of the join that filled
+    join_table[i, j]; it is the same record as join_diagnostics[j][i].
+    """
+
+    states: list[IdempotentState]
+    order: np.ndarray
+    meet_table: np.ndarray
+    join_table: np.ndarray
+    hasse_edges: list[tuple[int, int]]
+    join_diagnostics: list[list[JoinDiagnostics]]
+
+    @property
+    def names(self) -> list[str]:
+        return [s.name or f"state{i}" for i, s in enumerate(self.states)]
+
+
+def _close(states, tol, dedup_tol, conv_tol, n_max):
+    """Close a list under meet and join, computing each unordered pair once.
+
+    Pairs are taken in rounds: each round computes the pairs that involve a
+    state appended in the previous round.  A result within dedup_tol of a
+    listed state is that state; any other result is appended.  Returns the
+    grown list (input states first), the meet and join tables indexing it,
+    and the join diagnostics.
+    """
+    states = list(states)
+    meets, joins, diags = {}, {}, {}
+
+    def index_of(result):
+        for idx, s in enumerate(states):
+            if sup(s.coeffs - result.coeffs) < dedup_tol:
+                return idx
+        states.append(result)
+        return len(states) - 1
+
+    done = 0
+    while done < len(states):
+        size = len(states)
+        for i in range(size):
+            for j in range(max(i, done), size):
+                meets[i, j] = index_of(meet(states[i], states[j], tol))
+                joined, diags[i, j] = join_with_diagnostics(
+                    states[i], states[j], tol, conv_tol, n_max)
+                joins[i, j] = index_of(joined)
+        done = size
+        if len(states) > states[0].home.dim ** 2 + 4:
+            raise InternalInconsistency("closure under meet/join is not stabilizing")
+
+    k = len(states)
+    meet_table = np.zeros((k, k), dtype=int)
+    join_table = np.zeros((k, k), dtype=int)
+    join_diagnostics = [[None] * k for _ in range(k)]
+    for (i, j), m in meets.items():
+        meet_table[i, j] = meet_table[j, i] = m
+        join_table[i, j] = join_table[j, i] = joins[i, j]
+        join_diagnostics[i][j] = join_diagnostics[j][i] = diags[i, j]
+    return states, meet_table, join_table, join_diagnostics
+
+
+def _lattice_from_tables(states, meet_table, join_table, join_diagnostics,
+                         tol) -> IdempotentLattice:
+    """Order matrix and Hasse diagram; every lattice axiom is verified.
+
+    The partial-order axioms, commutativity, associativity, the absorption
+    laws and the extremal characterizations of meet and join are all
+    checked; violations are internal errors.
+    """
+    k = len(states)
+    order = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            order[i, j] = preceq(states[i], states[j], tol)
+    for i in range(k):
+        if not order[i, i]:
+            raise InternalInconsistency("order is not reflexive")
+        for j in range(k):
+            if i != j and order[i, j] and order[j, i]:
+                raise InternalInconsistency("order is not antisymmetric; duplicates?")
+            for l in range(k):
+                if order[i, j] and order[j, l] and not order[i, l]:
+                    raise InternalInconsistency("order is not transitive")
+
+    for i in range(k):
+        for j in range(k):
+            lower = [l for l in range(k) if order[l, i] and order[l, j]]
+            m = meet_table[i, j]
+            if m not in lower or not all(order[l, m] for l in lower):
+                raise InternalInconsistency(
+                    "meet is not the largest common lower bound")
+            upper = [l for l in range(k) if order[i, l] and order[j, l]]
+            jn = join_table[i, j]
+            if jn not in upper or not all(order[jn, l] for l in upper):
+                raise InternalInconsistency(
+                    "join is not the smallest common upper bound")
+            for l in range(k):
+                if (meet_table[meet_table[i, j], l] != meet_table[i, meet_table[j, l]]
+                        or join_table[join_table[i, j], l] != join_table[i, join_table[j, l]]):
+                    raise InternalInconsistency("operation tables are not associative")
+            if meet_table[i, join_table[i, j]] != i or join_table[i, meet_table[i, j]] != i:
+                raise InternalInconsistency("absorption laws fail")
+
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if i == j or not order[i, j]:
+                continue
+            if any(l not in (i, j) and order[i, l] and order[l, j] for l in range(k)):
+                continue
+            edges.append((i, j))
+    return IdempotentLattice(states=states, order=order, meet_table=meet_table,
+                             join_table=join_table, hasse_edges=sorted(edges),
+                             join_diagnostics=join_diagnostics)
+
+
+def build_lattice(states, tol: float = DEFAULT_TOL,
+                  dedup_tol: float = DEFAULT_DEDUP_TOL,
+                  conv_tol: float = DEFAULT_CONV_TOL,
+                  n_max: int = DEFAULT_N_MAX) -> IdempotentLattice:
+    """Order matrix, operation tables and Hasse diagram of a closed set.
+
+    Input order is preserved, and an operation whose result is not in the
+    set is an internal error.  Enumeration already returns its lattice;
+    this is for any other closed list of states.
+    """
+    states = list(states)
+    closed, meet_table, join_table, diags = _close(states, tol, dedup_tol,
+                                                   conv_tol, n_max)
+    if len(closed) != len(states):
+        raise InternalInconsistency("lattice operation left the enumerated set")
+    return _lattice_from_tables(states, meet_table, join_table, diags, tol)
+
+
+def to_dot(lat: IdempotentLattice) -> str:
+    """Hasse diagram as Graphviz DOT (node and edge statements only)."""
+    names = lat.names
+    lines = ["digraph idempotent_lattice {"]
+    for name in names:
+        safe = name.replace('"', r'\"')
+        lines.append(f'  "{safe}" [label="{safe}"];')
+    for i, j in lat.hasse_edges:
+        a = names[i].replace('"', r'\"')
+        b = names[j].replace('"', r'\"')
+        lines.append(f'  "{a}" -> "{b}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +330,12 @@ class EnumerationReport:
 
 @dataclasses.dataclass
 class EnumerationResult:
-    states: list[IdempotentState]
     report: EnumerationReport
+    lattice: IdempotentLattice
+
+    @property
+    def states(self) -> list[IdempotentState]:
+        return self.lattice.states
 
     def __iter__(self):
         return iter(self.states)
@@ -210,31 +352,13 @@ def _dedup(functionals, dedup_tol):
     return kept
 
 
-def _close_under_ops(states, tol, dedup_tol, conv_tol, n_max):
-    states = list(states)
-    changed = True
-    while changed:
-        changed = False
-        size = len(states)
-        for i in range(size):
-            for j in range(i, size):
-                for result in (meet(states[i], states[j], tol),
-                               join(states[i], states[j], tol=tol,
-                                    conv_tol=conv_tol, n_max=n_max)):
-                    if all(sup(result.coeffs - s.coeffs) >= dedup_tol
-                           for s in states):
-                        states.append(result)
-                        changed = True
-        if len(states) > states[0].home.dim ** 2 + 4:
-            raise InternalInconsistency("closure under meet/join is not stabilizing")
-    return states
-
-
-def _canonical_sort(states):
-    def key(s):
-        c = np.round(s.coeffs, 9)
-        return (-s.coideal.dim, tuple(zip(c.real.tolist(), c.imag.tolist())))
-    return sorted(states, key=key)
+def _canonical_order(states) -> list[int]:
+    """Positions of the states sorted by coideal size, then coefficients."""
+    def key(idx):
+        c = np.round(states[idx].coeffs, 9)
+        return (-states[idx].coideal.dim,
+                tuple(zip(c.real.tolist(), c.imag.tolist())))
+    return sorted(range(len(states)), key=key)
 
 
 def _positive_seed(group, rng):
@@ -339,8 +463,10 @@ def enumerate_idempotents(group, strategy: str = "auto",
                           tol: float = DEFAULT_TOL,
                           conv_tol: float = DEFAULT_CONV_TOL,
                           n_max: int = DEFAULT_N_MAX) -> EnumerationResult:
-    """All idempotent states found by the chosen strategy, closed and sorted.
+    """All idempotent states found by the chosen strategy, with their lattice.
 
+    The states are closed under meet and join and sorted canonically; the
+    result's lattice holds the tables and join diagnostics of that closure.
     "catalog" reads the subgroup catalog of a recognized built-in;
     "search" runs the multistart solver; "auto" prefers the catalog.
     Search incompleteness is reported, never raised.
@@ -363,9 +489,15 @@ def enumerate_idempotents(group, strategy: str = "auto",
         used = "search"
 
     states = [as_idempotent_state(f, tol, name=f.name) for f in functionals]
-    states = _close_under_ops(states, tol, dedup_tol, conv_tol, n_max)
-    states = _canonical_sort(states)
-    states = _assign_names(group, recognized, states)
+    states, meet_table, join_table, diags = _close(states, tol, dedup_tol,
+                                                   conv_tol, n_max)
+    perm = _canonical_order(states)
+    rank = np.argsort(perm)
+    states = _assign_names(group, recognized, [states[p] for p in perm])
+    lat = _lattice_from_tables(
+        states, rank[meet_table[np.ix_(perm, perm)]],
+        rank[join_table[np.ix_(perm, perm)]],
+        [[diags[p][q] for q in perm] for p in perm], tol)
 
     coverage = "catalog"
     if used == "search":
@@ -379,7 +511,7 @@ def enumerate_idempotents(group, strategy: str = "auto",
         strategy=used, recognized=recognized, restarts=restarts if used == "search" else 0,
         seed=seed if used == "search" else None, converged=converged,
         positive=len(states), coverage=coverage)
-    return EnumerationResult(states=states, report=report)
+    return EnumerationResult(report=report, lattice=lat)
 
 
 def _assign_names(group, recognized, states):
@@ -405,113 +537,6 @@ def _assign_names(group, recognized, states):
             s = dataclasses.replace(s, functional=f)
         named.append(s)
     return named
-
-
-# ----------------------------------------------------------------------
-# the lattice
-# ----------------------------------------------------------------------
-
-@dataclasses.dataclass
-class IdempotentLattice:
-    states: list[IdempotentState]
-    order: np.ndarray
-    meet_table: np.ndarray
-    join_table: np.ndarray
-    hasse_edges: list[tuple[int, int]]
-
-    @property
-    def names(self) -> list[str]:
-        return [s.name or f"state{i}" for i, s in enumerate(self.states)]
-
-
-def _match_index(states, result, dedup_tol):
-    for idx, s in enumerate(states):
-        if sup(s.coeffs - result.coeffs) < dedup_tol:
-            return idx
-    raise InternalInconsistency("lattice operation left the enumerated set")
-
-
-def build_lattice(states, tol: float = DEFAULT_TOL,
-                  dedup_tol: float = DEFAULT_DEDUP_TOL,
-                  conv_tol: float = DEFAULT_CONV_TOL,
-                  n_max: int = DEFAULT_N_MAX) -> IdempotentLattice:
-    """Order matrix, operation tables and Hasse diagram of a closed set.
-
-    Input order is preserved.  The partial-order axioms, commutativity,
-    associativity, the absorption laws and the extremal characterizations
-    of meet and join are all verified; violations are internal errors.
-    """
-    states = list(states)
-    k = len(states)
-    order = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            order[i, j] = preceq(states[i], states[j], tol)
-    for i in range(k):
-        if not order[i, i]:
-            raise InternalInconsistency("order is not reflexive")
-        for j in range(k):
-            if i != j and order[i, j] and order[j, i]:
-                raise InternalInconsistency("order is not antisymmetric; duplicates?")
-            for l in range(k):
-                if order[i, j] and order[j, l] and not order[i, l]:
-                    raise InternalInconsistency("order is not transitive")
-
-    meet_table = np.zeros((k, k), dtype=int)
-    join_table = np.zeros((k, k), dtype=int)
-    for i in range(k):
-        for j in range(i, k):
-            mi = _match_index(states, meet(states[i], states[j], tol), dedup_tol)
-            ji = _match_index(states, join(states[i], states[j], tol=tol,
-                                           conv_tol=conv_tol, n_max=n_max),
-                              dedup_tol)
-            meet_table[i, j] = meet_table[j, i] = mi
-            join_table[i, j] = join_table[j, i] = ji
-
-    for i in range(k):
-        for j in range(k):
-            lower = [l for l in range(k) if order[l, i] and order[l, j]]
-            m = meet_table[i, j]
-            if m not in lower or not all(order[l, m] for l in lower):
-                raise InternalInconsistency(
-                    "meet is not the largest common lower bound")
-            upper = [l for l in range(k) if order[i, l] and order[j, l]]
-            jn = join_table[i, j]
-            if jn not in upper or not all(order[jn, l] for l in upper):
-                raise InternalInconsistency(
-                    "join is not the smallest common upper bound")
-            for l in range(k):
-                if (meet_table[meet_table[i, j], l] != meet_table[i, meet_table[j, l]]
-                        or join_table[join_table[i, j], l] != join_table[i, join_table[j, l]]):
-                    raise InternalInconsistency("operation tables are not associative")
-            if meet_table[i, join_table[i, j]] != i or join_table[i, meet_table[i, j]] != i:
-                raise InternalInconsistency("absorption laws fail")
-
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not order[i, j]:
-                continue
-            if any(l not in (i, j) and order[i, l] and order[l, j] for l in range(k)):
-                continue
-            edges.append((i, j))
-    return IdempotentLattice(states=states, order=order, meet_table=meet_table,
-                             join_table=join_table, hasse_edges=sorted(edges))
-
-
-def to_dot(lat: IdempotentLattice) -> str:
-    """Hasse diagram as Graphviz DOT (node and edge statements only)."""
-    names = lat.names
-    lines = ["digraph idempotent_lattice {"]
-    for name in names:
-        safe = name.replace('"', r'\"')
-        lines.append(f'  "{safe}" [label="{safe}"];')
-    for i, j in lat.hasse_edges:
-        a = names[i].replace('"', r'\"')
-        b = names[j].replace('"', r'\"')
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -186,15 +186,6 @@ def test_internal_inconsistency_maps_to_exit_3(z2_file, capsys, monkeypatch):
     assert "internal inconsistency" in err
 
 
-def test_conv_tol_and_n_max_flags(s3_file, capsys):
-    code, out, _ = run(capsys, "lattice", s3_file, "--format", "json",
-                       "--conv-tol", "1e-10", "--n-max", "500")
-    assert code == 0
-    assert len(json.loads(out)["states"]) == 6
-    code, _, err = run(capsys, "lattice", s3_file, "--n-max", "0")
-    assert code == 2 and "n-max" in err
-
-
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(command="check", path=None, state_tol=-1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qglab import catalog, coideal, duality, harmonic, hopf, lattice
+from qglab import catalog, checks, coideal, duality, harmonic, hopf, lattice
 from qglab.linalg import dagger, frob, subspace_distance
 from conftest import s3_subgroup
 
@@ -262,6 +262,15 @@ def test_exchange_all_pairs(name):
     for i, a in enumerate(states):
         for b in states[i:]:
             assert duality.duality_exchange_check(a, b, pair).passed
+
+
+def test_property_suite_builds_each_regular_unitary_once():
+    # one build for the group and one for its dual: every caller asks for
+    # the unitary in the call form that `dual` caches
+    duality.regular_unitary.cache_clear()
+    duality.dual.cache_clear()
+    checks.run_all_checks(catalog.builtin("c_s3"))
+    assert duality.regular_unitary.cache_info().misses == 2
 
 
 def test_multiplicative_unitary_accessor(c_s3):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qglab import catalog, coideal, harmonic, lattice
-from qglab.errors import NoConvergence
-from conftest import s3_subgroup
+from qglab.errors import InternalInconsistency, NoConvergence
+from conftest import assert_same_lattice, s3_subgroup
 
 
 def states_by_subgroup(name):
@@ -52,7 +52,6 @@ def test_join_generates_whole_group():
     assert diag.iterations <= 200
     assert diag.two_path_distance < 1e-8
     assert diag.slice_residual < 1e-8
-    assert not diag.cesaro_used
 
 
 def test_join_on_group_algebra_is_pointwise():
@@ -71,18 +70,14 @@ def test_join_no_convergence_cap():
     b = by_sub[s3_subgroup({"e", "(13)"})]
     with pytest.raises(NoConvergence):
         lattice.join(a, b, n_max=2)
+    with pytest.raises(ValueError):
+        lattice.join(a, b, n_max=0)
 
 
 def test_join_zero_absorbs(c_z2):
     eps = coideal.as_idempotent_state(harmonic.convolution_unit(c_z2))
     assert lattice.join(harmonic.ZERO_STATE, eps) is harmonic.ZERO_STATE
     assert lattice.join(eps, harmonic.ZERO_STATE) is harmonic.ZERO_STATE
-
-
-def test_cesaro_candidate_damps_oscillation():
-    flip = [np.array([1.0, 0.0]), np.array([0.0, 1.0])] * 10
-    averaged = lattice._cesaro_candidate(flip)
-    assert np.allclose(averaged, [0.5, 0.5])
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +283,22 @@ def test_meet_join_are_extremal_bounds(name):
             assert all(lat.order[lat.join_table[i, j], l] for l in upper)
             assert lat.meet_table[i, lat.join_table[i, j]] == i
             assert lat.join_table[i, lat.meet_table[i, j]] == i
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_enumerated_lattice_matches_build_lattice(name):
+    # the closure's tables, permuted into canonical order, are the tables
+    # that build_lattice computes afresh on the sorted states
+    enum = lattice.enumerate_idempotents(catalog.builtin(name))
+    assert_same_lattice(enum.lattice, lattice.build_lattice(enum.states))
+
+
+def test_build_lattice_rejects_a_set_that_is_not_closed():
+    _, by_sub = states_by_subgroup("c_s3")
+    a = by_sub[s3_subgroup({"e", "(12)"})]
+    b = by_sub[s3_subgroup({"e", "(13)"})]
+    with pytest.raises(InternalInconsistency, match="left the enumerated set"):
+        lattice.build_lattice([a, b])
 
 
 def test_singleton_lattice_is_trivial(c_z2):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from qglab import checks, duality, harmonic, hopf, lattice
+from conftest import assert_same_lattice
 
 KLEIN = [(0, 0), (1, 0), (0, 1), (1, 1)]
 IDX = {k: i for i, k in enumerate(KLEIN)}
@@ -106,8 +107,13 @@ def quantum():
 
 
 @pytest.fixture(scope="module")
-def quantum_states(quantum):
-    return lattice.enumerate_idempotents(quantum, strategy="search").states
+def quantum_enum(quantum):
+    return lattice.enumerate_idempotents(quantum, strategy="search")
+
+
+@pytest.fixture(scope="module")
+def quantum_states(quantum_enum):
+    return quantum_enum.states
 
 
 def test_validates_and_is_genuinely_quantum(quantum):
@@ -134,6 +140,11 @@ def test_exactly_two_states_are_not_haar_type(quantum_states):
         assert s.coideal.dim == 2
         assert np.allclose(s.coeffs[4:], 0.0, atol=1e-9)
         assert sorted(np.round(s.coeffs.real, 6)[:4].tolist()) == [0.0, 0.0, 0.5, 0.5]
+
+
+def test_enumerated_lattice_matches_build_lattice(quantum_enum):
+    assert_same_lattice(quantum_enum.lattice,
+                        lattice.build_lattice(quantum_enum.states))
 
 
 def test_dual_convention_is_unique(quantum):
