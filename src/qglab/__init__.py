@@ -64,10 +64,8 @@ from .duality import (
     codual,
     dual,
     dual_state,
-    dual_state_from_codual_check,
     double_dual_state,
     duality_exchange_check,
-    multiplicative_unitary,
     regular_unitary,
 )
 from . import catalog, checks, errors

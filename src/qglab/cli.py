@@ -235,8 +235,13 @@ def cmd_lattice(config: RunConfig) -> int:
 
 
 def cmd_dual(config: RunConfig) -> int:
-    group = _load(config)
-    pair = duality.dual(hopf.with_haar(group), config.state_tol)
+    group = hopf.with_haar(_load(config))
+    report = hopf.validate(group, tol=config.axiom_tol, fail_fast=True)
+    if not report.passed:
+        sys.stderr.write(f"error: not a quantum group: {report.failing()[0]} "
+                         f"fails at axiom-tol {config.axiom_tol:g}\n")
+        return EXIT_INPUT_ERROR
+    pair = duality.dual(group, config.state_tol)
     dual_json = hopf.save(pair.dual_group) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:

@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -181,12 +182,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(group: FiniteQuantumGroup, tol: float = AXIOM_TOL,
-             fail_fast: bool = False) -> ValidationReport:
-    """Check every defining axiom numerically and report residuals.
+def axiom_table(group: FiniteQuantumGroup) -> list[tuple[str, Callable[[], float]]]:
+    """The defining axioms in report order: (name, residual function) pairs.
 
-    With fail_fast=True the report stops at the first failing axiom,
-    which keeps perturbation scans cheap.
+    The invariant-state axioms appear only when the group carries one.
+    Residual functions are evaluated lazily, so a caller may run a subset.
     """
     n = group.dim
     m, d = group.mult, group.comult
@@ -195,76 +195,73 @@ def validate(group: FiniteQuantumGroup, tol: float = AXIOM_TOL,
     eye = np.eye(n)
     psi = group.haar
 
+    def tracial():
+        bil = np.einsum("ijk,k->ij", m, psi)
+        return frob(bil - bil.T)
+
+    def gram_positive():
+        gram = sesquilinear_matrix(group, psi)
+        herm = frob(gram - dagger(gram))
+        lam_min = float(np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)[0])
+        return max(herm, -min(lam_min, 0.0))
+
+    table = [
+        ("unit-law", lambda: max(frob(np.einsum("i,ijk->jk", u, m) - eye),
+                                 frob(np.einsum("j,ijk->ik", u, m) - eye))),
+        ("counit-law", lambda: max(frob(np.einsum("ijk,j->ik", d, eps) - eye),
+                                   frob(np.einsum("ijk,k->ij", d, eps) - eye))),
+    ]
+    if psi is not None:
+        table += [
+            ("haar-normalized", lambda: abs(np.dot(psi, u) - 1.0)),
+            ("haar-right-invariant",
+             lambda: frob(np.einsum("ijk,k->ij", d, psi) - np.outer(psi, u))),
+            ("haar-left-invariant",
+             lambda: frob(np.einsum("ijk,j->ik", d, psi) - np.outer(psi, u))),
+            ("kac-haar-antipode", lambda: frob(psi @ s - psi)),
+            ("kac-haar-tracial", tracial),
+        ]
+    table += [
+        ("star-involution", lambda: frob(sig @ np.conj(sig) - eye)),
+        ("kac-antipode-involutive", lambda: frob(s @ s - eye)),
+        ("kac-antipode-star", lambda: frob(s @ sig - sig @ np.conj(s))),
+        ("antipode-axiom", lambda: max(
+            frob(np.einsum("ijk,aj,akq->iq", d, s, m) - np.outer(eps, u)),
+            frob(np.einsum("ijk,ak,jaq->iq", d, s, m) - np.outer(eps, u)))),
+        ("associativity", lambda: frob(np.einsum("ijp,pkq->ijkq", m, m)
+                                       - np.einsum("jkp,ipq->ijkq", m, m))),
+        ("star-antimultiplicative",
+         lambda: frob(np.einsum("ijk,ak->ija", np.conj(m), sig)
+                      - np.einsum("pj,qi,pqa->ija", sig, sig, m))),
+        ("coassociativity", lambda: frob(np.einsum("ipr,pab->iabr", d, d)
+                                         - np.einsum("iap,pbr->iabr", d, d))),
+        ("comult-unital",
+         lambda: frob(np.einsum("i,ijk->jk", u, d) - np.outer(u, u))),
+        ("comult-star", lambda: frob(np.einsum("ai,ajk->ijk", sig, d)
+                                     - np.einsum("ijk,pj,qk->ipq",
+                                                 np.conj(d), sig, sig))),
+        ("comult-multiplicative",
+         lambda: frob(np.einsum("ijk,kab->ijab", m, d)
+                      - np.einsum("iab,jce,acp,beq->ijpq", d, d, m, m))),
+    ]
+    if psi is not None:
+        table.append(("gram-positive", gram_positive))
+    return table
+
+
+def validate(group: FiniteQuantumGroup, tol: float = AXIOM_TOL,
+             fail_fast: bool = False) -> ValidationReport:
+    """Check every defining axiom numerically and report residuals.
+
+    With fail_fast=True the report stops at the first failing axiom,
+    which keeps perturbation scans cheap.
+    """
     checks: list[AxiomCheck] = []
-
-    def stop(name: str, residual: float) -> bool:
-        ok = bool(residual < tol)
-        checks.append(AxiomCheck(name, float(residual), ok))
-        return fail_fast and not ok
-
-    while True:  # single pass; `break` after the last check or an early failure
-        r = max(frob(np.einsum("i,ijk->jk", u, m) - eye),
-                frob(np.einsum("j,ijk->ik", u, m) - eye))
-        if stop("unit-law", r):
+    for name, residual in axiom_table(group):
+        r = float(residual())
+        checks.append(AxiomCheck(name, r, r < tol))
+        if fail_fast and not checks[-1].passed:
             break
-        r = max(frob(np.einsum("ijk,j->ik", d, eps) - eye),
-                frob(np.einsum("ijk,k->ij", d, eps) - eye))
-        if stop("counit-law", r):
-            break
-        if psi is not None:
-            if stop("haar-normalized", abs(np.dot(psi, u) - 1.0)):
-                break
-            r = frob(np.einsum("ijk,k->ij", d, psi) - np.outer(psi, u))
-            if stop("haar-right-invariant", r):
-                break
-            r = frob(np.einsum("ijk,j->ik", d, psi) - np.outer(psi, u))
-            if stop("haar-left-invariant", r):
-                break
-            if stop("kac-haar-antipode", frob(psi @ s - psi)):
-                break
-            bil = np.einsum("ijk,k->ij", m, psi)
-            if stop("kac-haar-tracial", frob(bil - bil.T)):
-                break
-        if stop("star-involution", frob(sig @ np.conj(sig) - eye)):
-            break
-        if stop("kac-antipode-involutive", frob(s @ s - eye)):
-            break
-        if stop("kac-antipode-star", frob(s @ sig - sig @ np.conj(s))):
-            break
-        r = max(frob(np.einsum("ijk,aj,akq->iq", d, s, m) - np.outer(eps, u)),
-                frob(np.einsum("ijk,ak,jaq->iq", d, s, m) - np.outer(eps, u)))
-        if stop("antipode-axiom", r):
-            break
-        r = frob(np.einsum("ijp,pkq->ijkq", m, m)
-                 - np.einsum("jkp,ipq->ijkq", m, m))
-        if stop("associativity", r):
-            break
-        lhs = np.einsum("ijk,ak->ija", np.conj(m), sig)
-        rhs = np.einsum("pj,qi,pqa->ija", sig, sig, m)
-        if stop("star-antimultiplicative", frob(lhs - rhs)):
-            break
-        r = frob(np.einsum("ipr,pab->iabr", d, d)
-                 - np.einsum("iap,pbr->iabr", d, d))
-        if stop("coassociativity", r):
-            break
-        if stop("comult-unital", frob(np.einsum("i,ijk->jk", u, d) - np.outer(u, u))):
-            break
-        lhs = np.einsum("ai,ajk->ijk", sig, d)
-        rhs = np.einsum("ijk,pj,qk->ipq", np.conj(d), sig, sig)
-        if stop("comult-star", frob(lhs - rhs)):
-            break
-        lhs = np.einsum("ijk,kab->ijab", m, d)
-        rhs = np.einsum("iab,jce,acp,beq->ijpq", d, d, m, m)
-        if stop("comult-multiplicative", frob(lhs - rhs)):
-            break
-        if psi is not None:
-            gram = sesquilinear_matrix(group, psi)
-            herm = frob(gram - dagger(gram))
-            lam_min = float(np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)[0])
-            if stop("gram-positive", max(herm, -min(lam_min, 0.0))):
-                break
-        break
-
     return ValidationReport(tol=tol, checks=checks)
 
 

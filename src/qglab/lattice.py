@@ -550,11 +550,18 @@ class CommutationReport:
 
 
 def commutation_equivalences(rho: IdempotentState, mu: IdempotentState,
-                             tol: float = DEFAULT_TOL) -> CommutationReport:
-    """Three equivalent ways to say the two states commute; they must agree."""
+                             tol: float = DEFAULT_TOL,
+                             joined: IdempotentState | None = None) -> CommutationReport:
+    """Three equivalent ways to say the two states commute; they must agree.
+
+    `joined` is the join of rho and mu when the caller already holds it
+    (a lattice's join table); otherwise it is computed.
+    """
     fr, fm = rho.functional, mu.functional
     rm = convolve(fr, fm)
-    r1 = sup(join(rho, mu, tol=tol).coeffs - rm.coeffs)
+    if joined is None:
+        joined = join(rho, mu, tol=tol)
+    r1 = sup(joined.coeffs - rm.coeffs)
     r2 = sup(convolve(convolve(fm, fr), fm).coeffs - rm.coeffs)
     r3 = sup(convolve(fm, fr).coeffs - rm.coeffs)
     answers = [r1 < tol, r2 < tol, r3 < tol]

@@ -61,6 +61,17 @@ def test_validate_broken_file_names_axiom(tmp_path, capsys):
     assert "NO" in out
 
 
+def test_dual_of_broken_file_is_input_error(tmp_path, capsys):
+    doc = hopf.save_dict(catalog.builtin("c_z2"))
+    doc["mult"][0][0][0] = [1.001, 0.0]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "dual", str(path))
+    assert code == 2
+    assert "unit-law" in err
+    assert out == ""
+
+
 def test_validate_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.json")
     assert code == 2
