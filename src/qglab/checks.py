@@ -13,7 +13,7 @@ import numpy as np
 
 from . import catalog, coideal, duality, harmonic, hopf, lattice
 from .errors import CriteriaDisagree, QuantumGroupError
-from .linalg import dagger, frob, nullspace, subspace_distance, sup
+from .linalg import dagger, frob, nullspace, orthonormal_columns, subspace_distance, sup
 
 
 @dataclasses.dataclass
@@ -149,19 +149,9 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
             cols.append((lhs - rhs).reshape(-1))
         kernel = nullspace(np.column_stack(cols))
         kernel_l2 = space.orthonormal_basis @ kernel
-        from .linalg import orthonormal_columns
-
         return subspace_distance(orthonormal_columns(kernel_l2),
-                                 s.coideal.gns_basis()), ""
-
-    def membership_all():
-        worst, which = 0.0, ""
-        for s in states:
-            r, _ = membership(s)
-            if r > worst:
-                worst, which = r, s.name or "?"
-        return worst, which
-    _safe(results, "coideal-membership-criterion", membership_all, tol)
+                                 s.coideal.gns_basis())
+    _safe(results, "coideal-membership-criterion", lambda: per_state(membership), tol)
 
     def minimal_central(s):
         q = s.q_perp
@@ -172,8 +162,6 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
             b = basis[:, i]
             worst = max(worst, frob(group.multiply(q, b) - group.multiply(b, q)))
             compressed.append(group.multiply(group.multiply(q, b), q))
-        from .linalg import orthonormal_columns
-
         rank = orthonormal_columns(np.column_stack(compressed)).shape[1]
         if rank != 1:
             worst = max(worst, 1.0)
@@ -204,16 +192,19 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
         return 0.0, f"{lat.order.size} ordered pairs"
     _safe(results, "order-criteria-agreement", order_criteria, 1.0)
 
+    @functools.cache
+    def expectations():
+        return [coideal.expectation(s, tol) for s in states]
+
     def order_via_coideals():
-        expectations = [coideal.expectation(s, tol) for s in states]
+        es = expectations()
         projections = [coideal.gns_projection(s.coideal) for s in states]
         disagreements = 0
         for i, a in enumerate(states):
             for j, b in enumerate(states):
                 conv = sup(harmonic.convolve(a.functional, b.functional).coeffs
                            - b.coeffs) < tol
-                comp = frob(expectations[i] @ expectations[j]
-                            - expectations[j]) < 100 * tol
+                comp = frob(es[i] @ es[j] - es[j]) < 100 * tol
                 crossing = coideal.intersect(a.coideal, b.coideal, tol)
                 contain = subspace_distance(
                     crossing.gns_basis(), b.coideal.gns_basis()) < 100 * tol
@@ -229,8 +220,7 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
         for s in states:
             back = coideal.state_from_coideal(s.coideal, tol)
             worst = max(worst, sup(back.coeffs - s.coeffs))
-            forth = coideal.range_coideal(back.functional, tol)
-            worst = max(worst, subspace_distance(forth.gns_basis(),
+            worst = max(worst, subspace_distance(back.coideal.gns_basis(),
                                                  s.coideal.gns_basis()))
         return worst, ""
     _safe(results, "state-coideal-bijection", bijection, tol)
@@ -246,8 +236,7 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
 
     def expectation_battery():
         worst = 0.0
-        for s in states:
-            e = coideal.expectation(s, tol)
+        for s, e in zip(states, expectations()):
             trace_e = coideal.trace_expectation(s.coideal, tol)
             worst = max(worst, frob(e - trace_e))
         return worst, "trace vs convolution expectation"

@@ -179,29 +179,21 @@ def choi_min_eig(group, e_mat) -> float:
 def expectation(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The conditional expectation attached to an idempotent state.
 
-    Verifies idempotency of the map, unitality, complete positivity,
-    bimodularity over the range and compatibility with the GNS projection
-    onto the range.
+    The state is verified (or, if already typed, trusted) by
+    as_idempotent_state.  Verified here are the map certificates no
+    constructor checks: the map is idempotent, unital, completely positive
+    and bimodular over its range.
     """
-    f = as_functional(phi)
-    if not is_idempotent_state(f, tol):
-        raise NotIdempotent(f"defects: {state_defects(f)}")
-    group = f.home
-    e = expectation_matrix(f)
+    state = as_idempotent_state(phi, tol)
+    group = state.home
+    e = state.conditional_expectation
     if frob(e @ e - e) > 100 * tol:
         raise InternalInconsistency("expectation is not idempotent")
     if frob(e @ group.unit - group.unit) > 100 * tol:
         raise InternalInconsistency("expectation is not unital")
     if choi_min_eig(group, e) < -100 * tol:
         raise InternalInconsistency("expectation is not completely positive")
-    space = hopf.gns(group)
-    image = orthonormal_columns(space.orthonormal_basis @ e)
-    proj = image @ dagger(image)
-    l2map = space.orthonormal_basis @ e @ space.inverse_basis
-    if frob(l2map - proj) > 100 * tol:
-        raise InternalInconsistency(
-            "expectation does not embed as the orthogonal range projection")
-    basis_alg = space.inverse_basis @ image
+    basis_alg = state.coideal.basis
     # bimodularity over the range: E(x z y) = x E(z) y for x, y in the range
     xz = np.einsum("ai,abc->ibc", basis_alg, group.mult)
     xzy = np.einsum("ibc,cde,dj->ibje", xz, group.mult, basis_alg)
@@ -215,16 +207,12 @@ def expectation(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def range_coideal(phi, tol: float = DEFAULT_TOL) -> Coideal:
-    """The range of the conditional expectation, certified as a coideal."""
-    f = as_functional(phi)
-    if not is_idempotent_state(f, tol):
-        raise NotIdempotent(f"defects: {state_defects(f)}")
-    coid = coideal_from_span(f.home, expectation_matrix(f), tol)
-    if not (coid.is_coideal and coid.is_subalgebra and coid.is_star_closed
-            and coid.contains_unit):
-        raise InternalInconsistency(
-            f"expectation range failed certification: {coid.defects}")
-    return coid
+    """The range of the conditional expectation, certified as a coideal.
+
+    The certificate is as_idempotent_state's; a typed state's coideal is
+    read as is.
+    """
+    return as_idempotent_state(phi, tol).coideal
 
 
 def generated_subalgebra(n1: Coideal, n2: Coideal,
@@ -297,14 +285,18 @@ def trace_expectation(coid: Coideal, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def as_idempotent_state(phi, tol: float = DEFAULT_TOL,
                         name: str | None = None) -> IdempotentState:
-    """Verify idempotency and assemble the cached derived objects.
+    """The one verifier of idempotent states; the type is trusted after it.
 
-    The type's invariants are enforced here: the functional is an
-    idempotent state, its expectation embeds as the orthogonal projection
-    onto the coideal, and the support projection lies inside the coideal.
-    The heavier map-level certificates (complete positivity, bimodularity)
-    live in expectation().
+    Verified here, once: the functional is an idempotent state, the range
+    of its expectation is a unital *-closed coideal subalgebra, the
+    expectation embeds as the orthogonal projection onto that range, and
+    the support projection lies inside it.  An IdempotentState given
+    without a new name is returned unchanged, trusted at the tolerance it
+    was built with.  The map-level certificates (complete positivity,
+    bimodularity) live in expectation().
     """
+    if isinstance(phi, IdempotentState) and name in (None, phi.name):
+        return phi
     f = as_functional(phi)
     if name is not None and f.name != name:
         f = Functional(home=f.home, coeffs=f.coeffs, name=name)
@@ -312,7 +304,11 @@ def as_idempotent_state(phi, tol: float = DEFAULT_TOL,
         raise NotIdempotent(f"defects: {state_defects(f)}")
     group = f.home
     e = expectation_matrix(f)
-    coid = range_coideal(f, tol)
+    coid = coideal_from_span(group, e, tol)
+    if not (coid.is_coideal and coid.is_subalgebra and coid.is_star_closed
+            and coid.contains_unit):
+        raise InternalInconsistency(
+            f"expectation range failed certification: {coid.defects}")
     proj = coid.l2_projector()
     space = hopf.gns(group)
     l2map = space.orthonormal_basis @ e @ space.inverse_basis
@@ -331,10 +327,11 @@ def state_from_coideal(coid: Coideal, tol: float = DEFAULT_TOL,
     """The unique idempotent state whose expectation range is the coideal.
 
     The candidate is the counit composed with the trace-preserving
-    expectation; the construction then verifies idempotency and that the
-    range comes back unchanged.  The projection identity of the coideal's
-    GNS projection against the regular unitary is a theorem about the
-    resulting state; the property suite verifies it for every state.
+    expectation.  as_idempotent_state verifies it, raising NotIdempotent,
+    and its range must come back unchanged (NotACoideal otherwise).  The
+    projection identity of the coideal's GNS projection against the
+    regular unitary is a theorem about the resulting state; the property
+    suite verifies it for every state.
     """
     failing = [name2 for name2, ok in
                [("subalgebra", coid.is_subalgebra),
@@ -348,9 +345,6 @@ def state_from_coideal(coid: Coideal, tol: float = DEFAULT_TOL,
     group = coid.home
     e = trace_expectation(coid, tol)
     candidate = Functional(home=group, coeffs=group.counit @ e, name=name)
-    if not is_idempotent_state(candidate, tol):
-        raise NotACoideal(
-            f"trace-expectation state is not idempotent: {state_defects(candidate)}")
     state = as_idempotent_state(candidate, tol)
     gap = subspace_distance(state.coideal.gns_basis(), coid.gns_basis())
     if gap > 100 * tol:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import hopf
 from .coideal import Coideal, coideal_from_span, as_idempotent_state
-from .errors import ConventionFailure, InternalInconsistency, NotIdempotent
+from .errors import ConventionFailure, InternalInconsistency
 from .harmonic import (
     DEFAULT_TOL,
     Functional,
@@ -28,7 +28,6 @@ from .harmonic import (
     as_functional,
     expectation_matrix,
     group_like_defect,
-    is_idempotent_state,
     state_from_qperp,
     sup,
 )
@@ -301,10 +300,9 @@ def dual_state(state: IdempotentState, pair: DualPair,
     state by it gives the dual state.  Verified: the dual state's range is
     the co-dual of the original range, slicing the regular unitary by the
     dual state returns the original support projection, and the dual
-    state's support is the original coefficient vector.
+    state's support is the original coefficient vector.  The argument's
+    type certifies it; the dual state is verified by as_idempotent_state.
     """
-    if not is_idempotent_state(state.functional, tol):
-        raise NotIdempotent("dual_state needs an idempotent state")
     dual_group = pair.dual_group
     name = f"dual({state.name})" if state.name else None
     checked = state_from_qperp(dual_group, state.coeffs, tol, name=name)

@@ -177,6 +177,14 @@ def test_trace_expectation_agrees_with_state_expectation(name):
         assert frob(via_trace - state.conditional_expectation) < 1e-9
 
 
+def test_typed_state_is_trusted(c_s3):
+    state = coideal.as_idempotent_state(harmonic.haar_functional(c_s3))
+    assert coideal.as_idempotent_state(state) is state
+    assert coideal.as_idempotent_state(state, name=state.name) is state
+    renamed = coideal.as_idempotent_state(state, name="h")
+    assert renamed.name == "h" and renamed.functional.distance(state) == 0.0
+
+
 def test_trace_expectation_requires_unital_star_subalgebra(c_s3):
     delta_e = np.zeros((6, 1))
     delta_e[0, 0] = 1.0

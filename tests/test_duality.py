@@ -295,8 +295,10 @@ def test_property_suite_builds_each_regular_unitary_once():
 
 def test_property_suite_call_counts(monkeypatch):
     # the suite's `axioms` check is the only validation (`dual` trusts it),
-    # and the suite reads joins and dual states it already holds
-    calls = {"validate": 0, "join": 0, "dual_state": 0}
+    # the suite reads joins, dual states and expectations it already holds,
+    # and each idempotent state is verified once, where it is built
+    calls = {"validate": 0, "join": 0, "dual_state": 0,
+             "is_idempotent_state": 0, "preceq": 0, "expectation": 0}
 
     def counted(module, attr, key):
         real = getattr(module, attr)
@@ -309,7 +311,16 @@ def test_property_suite_call_counts(monkeypatch):
     counted(hopf, "validate", "validate")
     counted(lattice, "join_with_diagnostics", "join")
     counted(duality, "dual_state", "dual_state")
+    counted(coideal, "expectation", "expectation")
+    for module in (harmonic, coideal, lattice, duality, checks):
+        for attr in ("is_idempotent_state", "preceq"):
+            if hasattr(module, attr):
+                counted(module, attr, attr)
     duality.regular_unitary.cache_clear()
     duality.dual.cache_clear()
     checks.run_all_checks(catalog.builtin("c_s3"))
-    assert calls == {"validate": 1, "join": 42, "dual_state": 12}
+    assert {k: calls[k] for k in ("validate", "join", "dual_state")} == {
+        "validate": 1, "join": 42, "dual_state": 12}
+    assert calls["is_idempotent_state"] <= 114
+    assert calls["preceq"] <= 72
+    assert calls["expectation"] <= 6

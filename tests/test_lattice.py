@@ -1,7 +1,9 @@
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qglab import catalog, coideal, harmonic, lattice
 from qglab.errors import InternalInconsistency, NoConvergence
@@ -64,14 +66,45 @@ def test_join_on_group_algebra_is_pointwise():
     assert got.distance(harmonic.haar_functional(g)) < 1e-9
 
 
-def test_join_no_convergence_cap():
+def test_join_no_convergence_cap(monkeypatch):
     _, by_sub = states_by_subgroup("c_s3")
     a = by_sub[s3_subgroup({"e", "(12)"})]
     b = by_sub[s3_subgroup({"e", "(13)"})]
+    monkeypatch.setattr(lattice, "DEFAULT_N_MAX", 2)
     with pytest.raises(NoConvergence):
-        lattice.join(a, b, n_max=2)
-    with pytest.raises(ValueError):
-        lattice.join(a, b, n_max=0)
+        lattice.join(a, b)
+
+
+def scaled(state, eps):
+    """The state times (1 + eps), verified anew."""
+    f = harmonic.Functional(home=state.home, coeffs=(1.0 + eps) * state.coeffs)
+    return coideal.as_idempotent_state(f)
+
+
+def test_join_stops_on_off_normalization_state(c_s3):
+    # every convolution power of this state moves by about 1e-11, which is
+    # above the convergence tolerance but below the state tolerance
+    counit = coideal.as_idempotent_state(harmonic.convolution_unit(c_s3))
+    t = scaled(counit, 1e-11)
+    got, diag = lattice.join_with_diagnostics(t, t)
+    assert diag.iterations < 10
+    assert got.distance(counit) < 1e-9
+
+
+@functools.cache
+def catalog_states(name):
+    return list(states_by_subgroup(name)[1].values())
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(catalog.BUILTIN_NAMES), data=st.data(),
+       eps=st.floats(min_value=-1e-10, max_value=1e-10))
+def test_join_is_stable_near_the_tolerance(name, data, eps):
+    states = catalog_states(name)
+    a = data.draw(st.sampled_from(states))
+    b = data.draw(st.sampled_from(states))
+    got = lattice.join(scaled(a, eps), b)
+    assert got.distance(lattice.join(a, b)) < 1e-8
 
 
 def test_join_zero_absorbs(c_z2):
