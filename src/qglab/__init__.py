@@ -42,10 +42,7 @@ from .coideal import (
     coideal_to_dict,
     expectation,
     generated_subalgebra,
-    gns_projection,
     intersect,
-    is_coideal,
-    range_coideal,
     state_from_coideal,
     trace_expectation,
 )

@@ -198,7 +198,7 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
 
     def order_via_coideals():
         es = expectations()
-        projections = [coideal.gns_projection(s.coideal) for s in states]
+        projections = [s.l2_projection for s in states]
         disagreements = 0
         for i, a in enumerate(states):
             for j, b in enumerate(states):
@@ -237,7 +237,7 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
     def expectation_battery():
         worst = 0.0
         for s, e in zip(states, expectations()):
-            trace_e = coideal.trace_expectation(s.coideal, tol)
+            trace_e = coideal.trace_expectation(s.coideal)
             worst = max(worst, frob(e - trace_e))
         return worst, "trace vs convolution expectation"
     _safe(results, "expectation-uniqueness", expectation_battery, 100 * tol)

@@ -31,7 +31,7 @@ from .harmonic import (
     state_from_qperp,
     sup,
 )
-from .linalg import dagger, frob, nullspace, subspace_distance
+from .linalg import dagger, frob, nullspace
 
 
 # ----------------------------------------------------------------------
@@ -297,21 +297,18 @@ def dual_state(state: IdempotentState, pair: DualPair,
 
     The coefficient vector of the state, read as an element of the dual
     algebra, is a group-like projection; compressing the dual invariant
-    state by it gives the dual state.  Verified: the dual state's range is
-    the co-dual of the original range, slicing the regular unitary by the
-    dual state returns the original support projection, and the dual
-    state's support is the original coefficient vector.  The argument's
-    type certifies it; the dual state is verified by as_idempotent_state.
+    state by it gives the dual state.  Verified: slicing the regular
+    unitary by the dual state returns the original support projection, and
+    the dual state's support is the original coefficient vector.  The
+    argument's type certifies it; the dual state is verified by
+    as_idempotent_state.  That its range is the co-dual of the original
+    range follows through the state-coideal bijection; the suite's
+    codual-state-consistency check verifies it for every state.
     """
     dual_group = pair.dual_group
     name = f"dual({state.name})" if state.name else None
     checked = state_from_qperp(dual_group, state.coeffs, tol, name=name)
     out = as_idempotent_state(checked, tol)
-    gap = subspace_distance(out.coideal.gns_basis(),
-                            codual(state.coideal, pair, "primal", tol).gns_basis())
-    if gap > 100 * tol:
-        raise InternalInconsistency(
-            f"dual state's coideal is not the co-dual ({gap:.2e})")
     if sup(out.coeffs - state.q_perp) > 100 * tol:
         raise InternalInconsistency(
             "slicing the regular unitary by the dual state "

@@ -125,11 +125,6 @@ def state_defects(phi: Functional) -> dict[str, float]:
     return {"idempotency": conv, "normalization": norm, "negativity": neg}
 
 
-def is_state(phi: Functional, tol: float = DEFAULT_TOL) -> bool:
-    d = state_defects(phi)
-    return d["normalization"] < tol and d["negativity"] < tol
-
-
 def is_idempotent_state(phi: Functional, tol: float = DEFAULT_TOL) -> bool:
     d = state_defects(phi)
     return all(v < tol for v in d.values())
@@ -160,17 +155,19 @@ def support_projection(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Complement of the left-kernel projection of a state.
 
     Computed as the spectral support of the density of the state with
-    respect to the invariant trace.  Checked postconditions: the result is
-    a projection, the state kills its complement, compressing by it leaves
-    the state unchanged, and it annihilates every positive element of
-    vanishing expectation.
+    respect to the invariant trace.  A functional is a state exactly when
+    it is normalized and its density is positive, so a non-state is
+    rejected (NotAState) from the value on 1 and the lowest eigenvalue of
+    that density.  Checked postconditions: the result is a projection, the
+    state kills its complement, compressing by it leaves the state
+    unchanged, and it annihilates every positive element of vanishing
+    expectation.
     """
     group = hopf.with_haar(phi.home)
     space = hopf.gns(group)
-    if not is_state(phi, tol):
-        d = state_defects(phi)
-        raise NotAState(f"normalization defect {d['normalization']:.2e}, "
-                        f"negativity {d['negativity']:.2e}")
+    norm = abs(phi(group.unit) - 1.0)
+    if norm >= tol:
+        raise NotAState(f"normalization defect {norm:.2e}")
     rho = density_element(phi)
     mat = space.represent(rho)
     herm = frob(mat - dagger(mat))
@@ -178,6 +175,8 @@ def support_projection(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotAState(f"density is not self-adjoint (defect {herm:.2e})")
     evals, vecs = np.linalg.eigh((mat + dagger(mat)) / 2.0)
     cut = tol * max(1.0, float(evals[-1]))
+    if evals[0] < -cut:
+        raise NotAState(f"density has a negative eigenvalue ({evals[0]:.2e})")
     support = vecs[:, evals > cut]
     proj_mat = support @ dagger(support)
     rep = space.left_mult.transpose(1, 2, 0).reshape(group.dim ** 2, group.dim)
@@ -321,17 +320,15 @@ def as_functional(phi) -> Functional:
 
 
 def _order_data(phi):
-    """(functional, expectation matrix, range basis, L2 projection)."""
+    """(functional, expectation matrix, L2 range basis, L2 projection)."""
     if isinstance(phi, IdempotentState):
         return (phi.functional, phi.conditional_expectation,
-                orthonormal_columns(phi.conditional_expectation),
-                phi.l2_projection)
+                phi.coideal.gns_basis(), phi.l2_projection)
     f = as_functional(phi)
     e = expectation_matrix(f)
     space = hopf.gns(f.home)
     image = orthonormal_columns(space.orthonormal_basis @ e)
-    proj = image @ dagger(image)
-    return f, e, orthonormal_columns(e), proj
+    return f, e, image, image @ dagger(image)
 
 
 def preceq(mu, nu, tol: float = DEFAULT_TOL) -> bool:

@@ -8,7 +8,7 @@ orthonormal starting bases, or real-valued tensors.
 import numpy as np
 import pytest
 
-from qglab import catalog, harmonic, hopf, lattice
+from qglab import catalog, cli, harmonic, hopf, lattice
 
 
 def transported(group: hopf.FiniteQuantumGroup, m: np.ndarray) -> hopf.FiniteQuantumGroup:
@@ -97,3 +97,17 @@ def test_support_postconditions_on_random_degenerate_states():
         qperp = harmonic.support_projection(state)
         assert harmonic.projection_defect(g, qperp) < 1e-9
         assert abs(state(g.unit - qperp)) < 1e-9
+
+
+def test_ill_conditioned_basis_is_not_an_internal_error(tmp_path, capsys):
+    # a valid group in a basis of condition number 1e3: derived maps must
+    # not report the input's rounding as a broken theorem (exit 3)
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6))
+                        + 1j * rng.standard_normal((6, 6)))
+    moved = transported(catalog.builtin("c_s3"), q @ np.diag(np.logspace(0, 3, 6)))
+    path = tmp_path / "ill.json"
+    path.write_text(hopf.save(moved) + "\n")
+    code = cli.main(["idempotents", "--restarts", "10", str(path)])
+    capsys.readouterr()
+    assert code != cli.EXIT_INTERNAL

@@ -65,13 +65,13 @@ def test_expectation_rejects_non_idempotent(c_z2):
 
 
 def test_range_coideal_examples(c_s3, cg_s3):
-    full = coideal.range_coideal(harmonic.convolution_unit(c_s3))
+    full = coideal.as_idempotent_state(harmonic.convolution_unit(c_s3)).coideal
     assert full.dim == 6
-    scalars = coideal.range_coideal(harmonic.haar_functional(c_s3))
+    scalars = coideal.as_idempotent_state(harmonic.haar_functional(c_s3)).coideal
     assert scalars.dim == 1
     h = s3_subgroup({"e", "(12)"})
     ind = catalog.indicator_functional(cg_s3, h)
-    sub = coideal.range_coideal(ind)
+    sub = coideal.as_idempotent_state(ind).coideal
     assert sub.dim == 2
     assert subspace_distance(
         hopf.gns(cg_s3).orthonormal_basis @ subgroup_algebra_span(cg_s3, h),
@@ -86,11 +86,11 @@ def test_range_coideal_examples(c_s3, cg_s3):
 # ----------------------------------------------------------------------
 
 def test_is_coideal_examples(c_s3):
-    assert coideal.is_coideal(c_s3, c_s3.unit[:, None])
-    assert coideal.is_coideal(c_s3, np.eye(6))
+    assert coideal.coideal_from_span(c_s3, c_s3.unit[:, None]).is_coideal
+    assert coideal.coideal_from_span(c_s3, np.eye(6)).is_coideal
     delta_e = np.zeros((6, 1))
     delta_e[0, 0] = 1.0
-    assert not coideal.is_coideal(c_s3, delta_e)
+    assert not coideal.coideal_from_span(c_s3, delta_e).is_coideal
 
 
 def test_coset_algebra_is_coideal_but_point_mass_is_not(c_s3):
@@ -146,12 +146,12 @@ def test_intersections(c_s3, cg_s3):
 def test_gns_projection_ranks(c_s3):
     table, _ = catalog.group_table("s3")
     scalars = coideal.coideal_from_span(c_s3, c_s3.unit[:, None])
-    assert np.linalg.matrix_rank(coideal.gns_projection(scalars)) == 1
+    assert np.linalg.matrix_rank(scalars.l2_projector()) == 1
     everything = coideal.coideal_from_span(c_s3, np.eye(6))
-    assert np.allclose(coideal.gns_projection(everything), np.eye(6))
+    assert np.allclose(everything.l2_projector(), np.eye(6))
     cosets = coideal.coideal_from_span(
         c_s3, coset_algebra(c_s3, table, s3_subgroup({"e", "(12)"})))
-    assert np.linalg.matrix_rank(coideal.gns_projection(cosets)) == 3
+    assert np.linalg.matrix_rank(cosets.l2_projector()) == 3
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +221,12 @@ def test_state_from_coideal_rejects_non_coideal(c_s3):
     assert not_coideal.is_subalgebra and not not_coideal.is_coideal
     with pytest.raises(NotACoideal):
         coideal.state_from_coideal(not_coideal)
+    # span{delta_e} is a subalgebra without the unit: the trace-preserving
+    # expectation rejects it before the coideal flag is read
+    no_unit = coideal.coideal_from_span(c_s3, span[:, 1:])
+    assert not no_unit.contains_unit
+    with pytest.raises(NotASubalgebra):
+        coideal.state_from_coideal(no_unit)
 
 
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
@@ -230,7 +236,7 @@ def test_bijection_roundtrip(name):
         state = coideal.as_idempotent_state(f)
         back = coideal.state_from_coideal(state.coideal)
         assert back.functional.distance(f) < 1e-9
-        forth = coideal.range_coideal(back.functional)
+        forth = coideal.as_idempotent_state(back.functional).coideal
         assert subspace_distance(forth.gns_basis(),
                                  state.coideal.gns_basis()) < 1e-9
 

@@ -296,9 +296,12 @@ def test_property_suite_builds_each_regular_unitary_once():
 def test_property_suite_call_counts(monkeypatch):
     # the suite's `axioms` check is the only validation (`dual` trusts it),
     # the suite reads joins, dual states and expectations it already holds,
-    # and each idempotent state is verified once, where it is built
+    # and each idempotent state is verified once, where it is built; the
+    # derived maps (trace expectation, support projection, dual state) do
+    # not re-verify what the state's type or the suite already certifies
     calls = {"validate": 0, "join": 0, "dual_state": 0,
-             "is_idempotent_state": 0, "preceq": 0, "expectation": 0}
+             "is_idempotent_state": 0, "preceq": 0, "expectation": 0,
+             "choi_min_eig": 0, "state_defects": 0, "_codual_primal": 0}
 
     def counted(module, attr, key):
         real = getattr(module, attr)
@@ -313,7 +316,8 @@ def test_property_suite_call_counts(monkeypatch):
     counted(duality, "dual_state", "dual_state")
     counted(coideal, "expectation", "expectation")
     for module in (harmonic, coideal, lattice, duality, checks):
-        for attr in ("is_idempotent_state", "preceq"):
+        for attr in ("is_idempotent_state", "preceq", "choi_min_eig",
+                     "state_defects", "_codual_primal"):
             if hasattr(module, attr):
                 counted(module, attr, attr)
     duality.regular_unitary.cache_clear()
@@ -324,3 +328,6 @@ def test_property_suite_call_counts(monkeypatch):
     assert calls["is_idempotent_state"] <= 114
     assert calls["preceq"] <= 72
     assert calls["expectation"] <= 6
+    assert calls["choi_min_eig"] <= 6
+    assert calls["state_defects"] <= 114
+    assert calls["_codual_primal"] <= 12

@@ -127,6 +127,9 @@ def test_support_projection_group_algebra(cg_s3):
 def test_support_projection_rejects_nonstate(c_z2):
     with pytest.raises(NotAState):
         harmonic.support_projection(measure(c_z2, [2.0, -1.0]))
+    # positive but unnormalized
+    with pytest.raises(NotAState):
+        harmonic.support_projection(measure(c_z2, [2.0, 0.0]))
 
 
 def test_state_from_qperp_examples(c_s3):
