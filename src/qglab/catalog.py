@@ -99,7 +99,7 @@ def recognize(group: hopf.FiniteQuantumGroup) -> str | None:
 
 
 # ----------------------------------------------------------------------
-# subgroup machinery (brute force; the groups have order <= 6)
+# subgroup machinery (brute force on the multiplication table)
 # ----------------------------------------------------------------------
 
 def subgroup_closure(table, generators) -> frozenset[int]:
@@ -115,13 +115,19 @@ def subgroup_closure(table, generators) -> frozenset[int]:
 
 
 def subgroups(table) -> list[frozenset[int]]:
-    """All subgroups, as closures of <=2 generators (enough below order 8)."""
-    n = len(table)
-    found = {subgroup_closure(table, ())}
-    for g in range(n):
-        found.add(subgroup_closure(table, (g,)))
-        for h in range(g + 1, n):
-            found.add(subgroup_closure(table, (g, h)))
+    """All subgroups: the cyclic ones, closed under generating pairs.
+
+    Every subgroup is generated by its cyclic subgroups, so closing the
+    cyclic subgroups under the subgroup any two of them generate reaches
+    every subgroup, whatever the number of generators it needs.
+    """
+    found = {subgroup_closure(table, (g,)) for g in range(len(table))}
+    fresh = set(found)
+    while fresh:
+        new = {subgroup_closure(table, tuple(h | k))
+               for h in fresh for k in found} - found
+        found |= new
+        fresh = new
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 

@@ -54,18 +54,28 @@ def _galois_matrix(group: hopf.FiniteQuantumGroup) -> np.ndarray:
     return mat.reshape(n * n, n * n)
 
 
-def _leg_swap(n: int) -> np.ndarray:
-    perm = np.arange(n ** 3).reshape(n, n, n).transpose(0, 2, 1).reshape(-1)
-    return np.eye(n ** 3)[perm]
-
-
 def pentagon_defect(w: np.ndarray, n: int) -> float:
-    eye = np.eye(n)
-    w12 = np.kron(w, eye)
-    w23 = np.kron(eye, w)
-    swap = _leg_swap(n)
-    w13 = swap @ w12 @ swap
-    return frob(w12 @ w13 @ w23 - w23 @ w12)
+    """Frobenius norm of W12 W13 W23 - W23 W12 on L2 (x) L2 (x) L2.
+
+    W is read as W[r1, r2, c1, c2] and both sides are contracted leg by leg,
+    one value of the first column leg at a time, so no n^3 x n^3 matrix is
+    formed: O(n^5) memory and n^8 BLAS work.
+    """
+    w4 = w.reshape(n, n, n, n)
+    w_z = w4.transpose(1, 0, 2, 3).reshape(n, n ** 3)   # [z, (v c d)] = W[v, z, c, d]
+    w_y = w4.transpose(0, 1, 3, 2).reshape(n ** 3, n)   # [(p q d), y] = W[p, q, y, d]
+    total = 0.0
+    for a in range(n):
+        col = w4[:, :, a, :]
+        # W12 W13 W23: sum_(u, v) W[x, p, u, v] t[u, v, q, c, d],
+        # with t[u, v, q, c, d] = sum_z W[u, q, a, z] W[v, z, c, d]
+        t = (col.reshape(n * n, n) @ w_z).reshape(n, n, n, n, n)
+        t = t.transpose(0, 2, 1, 3, 4).reshape(n * n, n ** 3)
+        lhs = (w @ t).reshape(n, n, n, n, n)             # [x, p, q, c, d]
+        # W23 W12: sum_y W[p, q, y, d] W[x, y, a, c]
+        rhs = (w_y @ col.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n, n)
+        total += float(np.sum(np.abs(lhs - rhs.transpose(3, 0, 1, 4, 2)) ** 2))
+    return float(np.sqrt(total))
 
 
 def _second_leg_fit(w: np.ndarray, space: hopf.GnsSpace) -> tuple[np.ndarray, float]:

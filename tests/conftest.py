@@ -40,6 +40,16 @@ def s3_subgroup(label_set):
     return frozenset(labels.index(x) for x in label_set)
 
 
+def dihedral_table(m):
+    """Multiplication table of D_m (order 2m); index e*m + k is r^k s^e.
+
+    r^a s^e . r^b s^f = r^(a + (-1)^e b) s^(e + f).
+    """
+    elems = [(k, e) for e in (0, 1) for k in range(m)]
+    return [[(e ^ f) * m + (a + (-b if e else b)) % m for b, f in elems]
+            for a, e in elems]
+
+
 def assert_same_lattice(got, expected):
     """Same states, order, tables and Hasse diagram; symmetric join records."""
     assert [s.coeffs.tolist() for s in got.states] == [

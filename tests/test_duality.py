@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qglab import catalog, checks, coideal, duality, harmonic, hopf, lattice
 from qglab.linalg import dagger, frob, subspace_distance
-from conftest import s3_subgroup
+from conftest import dihedral_table, s3_subgroup
 
 ALL = list(catalog.BUILTIN_NAMES)
 
@@ -27,6 +28,57 @@ def test_unitary_and_pentagon(name):
     n = g.dim
     assert frob(dagger(reg.w) @ reg.w - np.eye(n * n)) < 1e-10
     assert duality.pentagon_defect(reg.w, n) < 1e-10
+
+
+def dense_pentagon_defect(w, n):
+    """Reference: the pentagon residual from dense n^3 x n^3 leg embeddings."""
+    eye = np.eye(n)
+    w12 = np.kron(w, eye)
+    w23 = np.kron(eye, w)
+    perm = np.arange(n ** 3).reshape(n, n, n).transpose(0, 2, 1).reshape(-1)
+    swap = np.eye(n ** 3)[perm]
+    w13 = swap @ w12 @ swap
+    return frob(w12 @ w13 @ w23 - w23 @ w12)
+
+
+def random_w(n, seed):
+    """A random complex, non-unitary W, so every term of both sides counts."""
+    rng = np.random.default_rng(seed)
+    shape = (n * n, n * n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pentagon_matches_dense_reference(n):
+    w = random_w(n, seed=n)
+    expected = dense_pentagon_defect(w, n)
+    assert abs(duality.pentagon_defect(w, n) - expected) <= 1e-10 * expected
+
+
+def test_pentagon_detects_bumped_entry(c_s3):
+    w = duality.regular_unitary(c_s3).w.copy()
+    w[0, 0] += 1e-3
+    assert duality.pentagon_defect(w, 6) > 1e-6
+
+
+def test_pentagon_memory_is_quintic():
+    # the dense n^3 x n^3 form peaks at about 260 MB for n = 12
+    w = random_w(12, seed=0)
+    tracemalloc.start()
+    try:
+        duality.pentagon_defect(w, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+@pytest.mark.parametrize("build", [hopf.function_algebra, hopf.group_algebra])
+def test_dihedral_order_16_validates_and_dualizes(build):
+    g = build(dihedral_table(8))
+    assert hopf.validate(g).passed
+    pair = duality.dual(g)
+    assert pair.convention.residuals["pentagon"] < 1e-10
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -42,6 +42,28 @@ def test_validate_fail_fast_stops_early(c_z2):
     assert len(report.checks) < len(hopf.validate(c_z2).checks)
 
 
+def test_comult_multiplicative_matches_single_contraction(c_z3):
+    # oracle: the right side Delta(a)Delta(b) as one four-operand einsum
+    rng = np.random.default_rng(3)
+    shape = (3, 3, 3)
+    for _ in range(3):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g = dataclasses.replace(c_z3, mult=m, comult=d, haar=None)
+        expected = np.linalg.norm(
+            np.einsum("ijk,kab->ijab", m, d)
+            - np.einsum("iab,jce,acp,beq->ijpq", d, d, m, m))
+        got = dict(hopf.axiom_table(g))["comult-multiplicative"]()
+        assert abs(got - expected) <= 1e-12 * expected
+
+
+def test_perturbed_comult_fails_multiplicativity(c_s3):
+    comult = c_s3.comult.copy()
+    comult[1, 2, 3] += 1e-6
+    broken = dataclasses.replace(c_s3, comult=comult)
+    assert "comult-multiplicative" in hopf.validate(broken).failing()
+
+
 def test_group_algebra_matches_multiplication_table():
     # oracle: the product tensor is exactly the indicator of the table
     table, _ = catalog.group_table("s3")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qglab import catalog, coideal, harmonic, lattice
 from qglab.errors import InternalInconsistency, NoConvergence
-from conftest import assert_same_lattice, s3_subgroup
+from conftest import assert_same_lattice, dihedral_table, s3_subgroup
 
 
 def states_by_subgroup(name):
@@ -116,6 +116,17 @@ def test_join_zero_absorbs(c_z2):
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("table, count", [
+    ([[a ^ b for b in range(8)] for a in range(8)], 16),   # needs 3 generators
+    (dihedral_table(4), 10),
+    (dihedral_table(6), 16),
+], ids=["z2^3", "d4", "d6"])
+def test_subgroup_counts(table, count):
+    subs = catalog.subgroups(table)
+    assert len(subs) == count
+    assert frozenset(range(len(table))) in subs
+
 
 EXPECTED_COUNTS = {"c_z2": 2, "c_z3": 2, "c_z4": 3, "c_s3": 6,
                    "cg_s3": 6, "cg_z4": 3}
