@@ -246,10 +246,14 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
                                f"{len(states)} states, {len(lat.hasse_edges)} covers"))
 
     def join_paths():
+        # the join by its definition, the limit of convolution powers, once
+        # per pair; "paths" also holds its distance to the table's join
         worst_two, worst_l2, worst_slice = 0.0, 0.0, 0.0
-        for i, row in enumerate(lat.join_diagnostics):
-            for diag in row[i:]:
-                worst_two = max(worst_two, diag.two_path_distance)
+        for i, a in enumerate(states):
+            for j in range(i, len(states)):
+                limit, diag = lattice.join_with_diagnostics(a, states[j], tol)
+                table = sup(limit.coeffs - states[lat.join_table[i, j]].coeffs)
+                worst_two = max(worst_two, diag.two_path_distance, table)
                 worst_l2 = max(worst_l2, diag.l2_intersection_residual)
                 worst_slice = max(worst_slice, diag.slice_residual)
         return max(worst_two, worst_l2, worst_slice), (

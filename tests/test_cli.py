@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qglab import catalog, cli, hopf
+from qglab import catalog, cli, hopf, lattice
 
 
 def run(capsys, *argv):
@@ -121,6 +121,17 @@ def test_lattice_json_and_dot(s3_file, capsys):
     edge = re.compile(r'^  "[^"]+" -> "[^"]+";$')
     body = out.strip().splitlines()[1:-1]
     assert all(node.match(x) or edge.match(x) for x in body)
+
+
+def test_idempotents_and_lattice_run_no_convolution_loop(s3_file, capsys,
+                                                         monkeypatch):
+    calls = []
+    monkeypatch.setattr(lattice, "join_with_diagnostics",
+                        lambda *args, **kwargs: calls.append(args))
+    for command in ("idempotents", "lattice"):
+        code, _, _ = run(capsys, command, s3_file, "--format", "json")
+        assert code == 0
+    assert calls == []
 
 
 def test_lattice_out_file(s3_file, tmp_path, capsys):

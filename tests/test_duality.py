@@ -350,7 +350,10 @@ def test_property_suite_call_counts(monkeypatch):
     # the suite reads joins, dual states and expectations it already holds,
     # and each idempotent state is verified once, where it is built; the
     # derived maps (trace expectation, support projection, dual state) do
-    # not re-verify what the state's type or the suite already certifies
+    # not re-verify what the state's type or the suite already certifies.
+    # Each pair's convolution-power limit is built and verified once, in
+    # join-two-paths, apart from the closed-form join in the table: 21 of
+    # the 135 verified states
     calls = {"validate": 0, "join": 0, "dual_state": 0,
              "is_idempotent_state": 0, "preceq": 0, "expectation": 0,
              "choi_min_eig": 0, "state_defects": 0, "_codual_primal": 0}
@@ -376,10 +379,46 @@ def test_property_suite_call_counts(monkeypatch):
     duality.dual.cache_clear()
     checks.run_all_checks(catalog.builtin("c_s3"))
     assert {k: calls[k] for k in ("validate", "join", "dual_state")} == {
-        "validate": 1, "join": 42, "dual_state": 12}
-    assert calls["is_idempotent_state"] <= 114
+        "validate": 1, "join": 21, "dual_state": 12}
+    assert calls["is_idempotent_state"] <= 135
     assert calls["preceq"] <= 72
     assert calls["expectation"] <= 6
     assert calls["choi_min_eig"] <= 6
-    assert calls["state_defects"] <= 114
+    assert calls["state_defects"] <= 135
     assert calls["_codual_primal"] <= 12
+
+
+def check_result(results, key):
+    return next(r for r in results if r.key == key)
+
+
+def test_suite_catches_a_table_join_off_the_limit(monkeypatch):
+    # the tables hold the closed-form join, so only the comparison with the
+    # limit of convolution powers sees the two disagree
+    real = lattice.join_with_diagnostics
+
+    def perturbed(*args, **kwargs):
+        limit, diag = real(*args, **kwargs)
+        f = harmonic.Functional(home=limit.home, coeffs=limit.coeffs + 1e-6)
+        return dataclasses.replace(limit, functional=f), diag
+    monkeypatch.setattr(lattice, "join_with_diagnostics", perturbed)
+    results = checks.run_all_checks(catalog.builtin("c_s3"))
+    assert not check_result(results, "join-two-paths").passed
+    assert check_result(results, "lattice-order-and-tables").passed
+
+
+def test_suite_catches_a_wrong_support_projection(monkeypatch):
+    # support_projection does not re-verify the support theorems; the
+    # suite's support-reconstruction does, for every enumerated state
+    real = lattice.enumerate_idempotents
+
+    def swapped(*args, **kwargs):
+        enum = real(*args, **kwargs)
+        states = list(enum.states)
+        assert frob(states[1].q_perp - states[2].q_perp) > 0.5
+        states[1] = dataclasses.replace(states[1], q_perp=states[2].q_perp)
+        return dataclasses.replace(
+            enum, lattice=dataclasses.replace(enum.lattice, states=states))
+    monkeypatch.setattr(lattice, "enumerate_idempotents", swapped)
+    results = checks.run_all_checks(catalog.builtin("c_s3"))
+    assert not check_result(results, "support-reconstruction").passed

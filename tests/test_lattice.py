@@ -72,7 +72,7 @@ def test_join_no_convergence_cap(monkeypatch):
     b = by_sub[s3_subgroup({"e", "(13)"})]
     monkeypatch.setattr(lattice, "DEFAULT_N_MAX", 2)
     with pytest.raises(NoConvergence):
-        lattice.join(a, b)
+        lattice.join_with_diagnostics(a, b)
 
 
 def scaled(state, eps):
@@ -96,15 +96,44 @@ def catalog_states(name):
     return list(states_by_subgroup(name)[1].values())
 
 
+def limit_of_powers(a, b):
+    return lattice.join_with_diagnostics(a, b)[0]
+
+
 @settings(max_examples=50, deadline=None, database=None, derandomize=True)
 @given(name=st.sampled_from(catalog.BUILTIN_NAMES), data=st.data(),
-       eps=st.floats(min_value=-1e-10, max_value=1e-10))
-def test_join_is_stable_near_the_tolerance(name, data, eps):
+       eps=st.floats(min_value=-1e-10, max_value=1e-10),
+       route=st.sampled_from([lattice.join, limit_of_powers]))
+def test_join_is_stable_near_the_tolerance(name, data, eps, route):
     states = catalog_states(name)
     a = data.draw(st.sampled_from(states))
     b = data.draw(st.sampled_from(states))
-    got = lattice.join(scaled(a, eps), b)
+    got = route(scaled(a, eps), b)
     assert got.distance(lattice.join(a, b)) < 1e-8
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_join_is_the_limit_of_convolution_powers(name):
+    states = catalog_states(name)
+    for i, a in enumerate(states):
+        for b in states[i:]:
+            assert lattice.join(a, b).distance(limit_of_powers(a, b)) < 1e-8
+
+
+def test_lattice_runs_no_convolution_loop(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    real = lattice.join_with_diagnostics
+    monkeypatch.setattr(lattice, "join_with_diagnostics", counted)
+    for name in catalog.BUILTIN_NAMES:
+        enum = lattice.enumerate_idempotents(catalog.builtin(name))
+        lattice.build_lattice(enum.states)
+    lattice.enumerate_idempotents(catalog.builtin("c_s3"), strategy="search",
+                                  restarts=10)
+    assert calls == []
 
 
 def test_join_zero_absorbs(c_z2):
