@@ -106,12 +106,13 @@ def join_with_diagnostics(a, b, tol: float = DEFAULT_TOL):
     DEFAULT_CONV_TOL, or below tol and no smaller than the step before.
     The second stop is a stall: an argument whose value on 1 is off by
     less than tol scales every power by that factor, so the stalled power
-    is renormalized to value 1 on 1.  as_idempotent_state verifies the
-    result either way.  The diagnostics compare the slices of the powers
-    with the powers of the product of the L2 projections, the result with
-    the alternating-projection limit recovered through W, and that limit
-    with the projection onto the intersection of the coideals.  The
-    property suite's join-two-paths compares the result with join.
+    is renormalized to value 1 on 1.  The limit is returned as a plain
+    functional: the property suite's join-two-paths compares it with join,
+    whose state is verified where it is built.  The diagnostics compare the
+    slices of the powers with the powers of the product of the L2
+    projections, the limit with the alternating-projection limit recovered
+    through W, and that limit with the projection onto the intersection of
+    the coideals.
     """
     require_same_home(a.functional, b.functional)
     group = a.home
@@ -156,7 +157,7 @@ def join_with_diagnostics(a, b, tol: float = DEFAULT_TOL):
         raise NoConvergence(
             f"alternating projections did not stabilize in {DEFAULT_N_MAX} steps")
 
-    result = as_idempotent_state(Functional(home=group, coeffs=current.coeffs), tol)
+    result = Functional(home=group, coeffs=current.coeffs)
 
     recovered, _, _, _ = np.linalg.lstsq(
         reg.second_legs.reshape(group.dim, -1).T, limit.reshape(-1), rcond=None)

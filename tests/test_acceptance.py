@@ -108,7 +108,7 @@ def test_criterion_04_join_convergence_and_projections():
     b = s3_state({"e", "(13)"})
     joined, diag = lattice.join_with_diagnostics(a, b, tol=1e-9)
     g = catalog.builtin("c_s3")
-    ok = joined.functional.distance(harmonic.haar_functional(g)) < 1e-9
+    ok = joined.distance(harmonic.haar_functional(g)) < 1e-9
     ok = ok and diag.iterations <= 200
     ok = ok and diag.two_path_distance < 1e-8
     worst = 0.0

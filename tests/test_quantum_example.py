@@ -147,13 +147,6 @@ def test_enumerated_lattice_matches_build_lattice(quantum_enum):
                         lattice.build_lattice(quantum_enum.states))
 
 
-def test_join_is_the_limit_of_convolution_powers(quantum_states):
-    for i, a in enumerate(quantum_states):
-        for b in quantum_states[i:]:
-            limit, _ = lattice.join_with_diagnostics(a, b)
-            assert lattice.join(a, b).distance(limit) < 1e-8
-
-
 def test_dual_convention_is_unique(quantum):
     pair = duality.dual(quantum)
     assert pair.convention.candidates_passing == ("comult_flip=False",)
