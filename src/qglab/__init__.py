@@ -24,9 +24,6 @@ from .harmonic import (
     ZeroState,
     convolution_unit,
     convolve,
-    functional_from_dict,
-    functional_to_dict,
-    group_like_check,
     haar_functional,
     haar_type_test,
     is_idempotent_state,
@@ -37,9 +34,7 @@ from .harmonic import (
 from .coideal import (
     Coideal,
     as_idempotent_state,
-    coideal_from_dict,
     coideal_from_span,
-    coideal_to_dict,
     expectation,
     generated_subalgebra,
     intersect,
@@ -53,7 +48,6 @@ from .lattice import (
     enumerate_idempotents,
     join,
     meet,
-    modular_law_check,
     to_dot,
 )
 from .duality import (
@@ -61,8 +55,6 @@ from .duality import (
     codual,
     dual,
     dual_state,
-    double_dual_state,
-    duality_exchange_check,
     regular_unitary,
 )
 from . import catalog, checks, errors

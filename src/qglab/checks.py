@@ -1,13 +1,18 @@
 """The full property suite: every structural theorem as an executable check.
 
-Each check is keyed by what it verifies; a failed check with internal=True
-signals a broken postcondition (bug or tolerance breach) rather than a
-plain property failure.
+check_table lists the checks in report order as (key, tolerance, function
+of a CheckContext) entries.  The two pipeline stages, the enumeration and
+the dual pair, are entries too, placed where the checks after them first
+need them; a stage fills the context and reports nothing.  Each check is
+keyed by what it verifies; a failed check with internal=True signals a
+broken postcondition (bug or tolerance breach) rather than a plain
+property failure.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 
 import numpy as np
 
@@ -25,15 +30,376 @@ class CheckResult:
     internal: bool = False
 
 
-def _safe(results, key, fn, tol):
+class CheckContext:
+    """What the checks read.
+
+    The group, its GNS space and the seeded stream are set up front, and
+    the stages fill in the enumeration and the dual pair.  The per-state
+    expectations, dual states and co-duals are computed at first use, once.
+    """
+
+    def __init__(self, group, axiom_tol, tol, seed, restarts):
+        self.group = hopf.with_haar(group)
+        self.space = hopf.gns(self.group)
+        self.rng = np.random.default_rng(seed)
+        self.axiom_tol, self.tol = axiom_tol, tol
+        self.seed, self.restarts = seed, restarts
+        self.enum: lattice.EnumerationResult | None = None
+        self.states: list[harmonic.IdempotentState] = []
+        self.lat: lattice.IdempotentLattice | None = None
+        self.pair: duality.DualPair | None = None
+
+    @functools.cached_property
+    def expectations(self) -> list[np.ndarray]:
+        return [coideal.expectation(s, self.tol) for s in self.states]
+
+    @functools.cached_property
+    def dual_states(self) -> list[harmonic.IdempotentState]:
+        return [duality.dual_state(s, self.pair, self.tol) for s in self.states]
+
+    @functools.cached_property
+    def coduals(self) -> list[coideal.Coideal]:
+        return [duality.codual(s.coideal, self.pair, "primal", self.tol)
+                for s in self.states]
+
+
+def _enumerate(c):
+    c.enum = lattice.enumerate_idempotents(c.group, strategy="auto", seed=c.seed,
+                                           restarts=c.restarts, tol=c.tol)
+    c.states, c.lat = c.enum.states, c.enum.lattice
+
+
+def _dual(c):
+    c.pair = duality.dual(c.group, c.tol)
+
+
+def _largest(residuals) -> float:
+    """The largest residual, or 0.0 when there is none."""
+    return max([0.0, *residuals])
+
+
+def _per_state(fn):
+    """The check reporting the worst fn(context, state) and that state's name."""
+    def check(c):
+        worst, which = 0.0, ""
+        for s in c.states:
+            r = fn(c, s)
+            if r > worst:
+                worst, which = r, s.name or "?"
+        return worst, which
+    return check
+
+
+def _axioms(c):
+    report = hopf.validate(c.group, c.axiom_tol)
+    return report.max_residual, ", ".join(report.failing())
+
+
+def _haar_permutation(c):
+    group, n = c.group, c.group.dim
+    perm = c.rng.permutation(n)
+    inv = np.argsort(perm)
+    permuted = hopf.FiniteQuantumGroup(
+        dim=n,
+        mult=group.mult[np.ix_(inv, inv, inv)],
+        unit=group.unit[inv],
+        comult=group.comult[np.ix_(inv, inv, inv)],
+        counit=group.counit[inv],
+        antipode=group.antipode[np.ix_(inv, inv)],
+        star=group.star[np.ix_(inv, inv)])
+    h = hopf.compute_haar(permuted)
+    return sup(h - group.haar[inv]), ""
+
+
+def _gns_left_regular(c):
+    eye = np.eye(c.group.dim)
+    return _largest(frob(c.space.left_mult[i] @ c.space.embed(eye[a])
+                         - c.space.embed(c.group.multiply(eye[i], eye[a])))
+                    for i in range(c.group.dim) for a in range(c.group.dim)), ""
+
+
+def _convolution_associativity(c):
+    n = c.group.dim
+    worst = 0.0
+    for _ in range(10):
+        fs = [harmonic.Functional(home=c.group,
+                                  coeffs=c.rng.standard_normal(n)
+                                  + 1j * c.rng.standard_normal(n))
+              for _ in range(3)]
+        lhs = harmonic.convolve(harmonic.convolve(fs[0], fs[1]), fs[2])
+        rhs = harmonic.convolve(fs[0], harmonic.convolve(fs[1], fs[2]))
+        worst = max(worst, sup(lhs.coeffs - rhs.coeffs)
+                    / max(1.0, sup(rhs.coeffs)))
+    return worst, ""
+
+
+def _membership(c, s):
+    # solution space of coproduct(x)(1 (x) qperp) = x (x) qperp vs the coideal
+    group = c.group
+    one_q = np.outer(group.unit, s.q_perp)
+    cols = [(group.tensor_multiply(group.coproduct(e), one_q)
+             - np.outer(e, s.q_perp)).reshape(-1) for e in np.eye(group.dim)]
+    kernel = nullspace(np.column_stack(cols))
+    kernel_l2 = c.space.orthonormal_basis @ kernel
+    return subspace_distance(orthonormal_columns(kernel_l2),
+                             s.coideal.gns_basis())
+
+
+def _minimal_central(c, s):
+    # q lies in the coideal, commutes with it, and compresses it to one line
+    group, q, basis = c.group, s.q_perp, s.coideal.basis.T
+    compressed = [group.multiply(group.multiply(q, b), q) for b in basis]
+    rank = orthonormal_columns(np.column_stack(compressed)).shape[1]
+    return _largest([0.0 if s.coideal.contains(q, c.tol) else 1.0,
+                     *(frob(group.multiply(q, b) - group.multiply(b, q)) for b in basis),
+                     0.0 if rank == 1 else 1.0])
+
+
+def _haar_type_oracle(c):
+    name = c.enum.report.recognized
+    if not name:
+        return 0.0, "no oracle (unrecognized group)"
+    _, short = name.split("_", 1)
+    table, _ = catalog.group_table(short)
+    worst = 0.0
+    for s in c.states:
+        sub = catalog.subgroup_of_state(name, s.coeffs)
+        if sub is None:
+            return 1.0, "state is not a subgroup state"
+        expected = (True if name.startswith("c_")
+                    else catalog.is_normal([list(r) for r in table], sub))
+        if harmonic.haar_type_test(s, c.tol) != expected:
+            worst = 1.0
+    return worst, ""
+
+
+def _order_via_coideals(c):
+    tol, es = c.tol, c.expectations
+    disagreements = 0
+    for i, a in enumerate(c.states):
+        for j, b in enumerate(c.states):
+            conv = sup(harmonic.convolve(a.functional, b.functional).coeffs
+                       - b.coeffs) < tol
+            comp = frob(es[i] @ es[j] - es[j]) < 100 * tol
+            crossing = coideal.intersect(a.coideal, b.coideal, tol)
+            contain = subspace_distance(
+                crossing.gns_basis(), b.coideal.gns_basis()) < 100 * tol
+            porder = frob(a.l2_projection @ b.l2_projection
+                          - b.l2_projection) < 100 * tol
+            if len({conv, comp, contain, porder}) != 1:
+                disagreements += 1
+    return float(disagreements), ""
+
+
+def _bijection(c):
+    backs = [coideal.state_from_coideal(s.coideal, c.tol) for s in c.states]
+    return _largest(max(sup(back.coeffs - s.coeffs),
+                        subspace_distance(back.coideal.gns_basis(), s.coideal.gns_basis()))
+                    for s, back in zip(c.states, backs)), ""
+
+
+def _expectation_projection(c):
+    return _largest(frob(c.space.orthonormal_basis @ s.conditional_expectation
+                         @ c.space.inverse_basis - s.l2_projection)
+                    for s in c.states), ""
+
+
+def _expectation_uniqueness(c):
+    return (_largest(frob(e - coideal.trace_expectation(s.coideal))
+                     for s, e in zip(c.states, c.expectations)),
+            "trace vs convolution expectation")
+
+
+def _join_paths(c):
+    # the join by its definition, the limit of convolution powers, once per
+    # pair; "paths" also holds its distance to the table's join, and
+    # "intersection" is the alternating-projection limit's distance to the
+    # L2 projection of the table's join
+    worst_two, worst_l2, worst_slice = 0.0, 0.0, 0.0
+    for i, a in enumerate(c.states):
+        for j in range(i, len(c.states)):
+            limit, diag = lattice.join_with_diagnostics(a, c.states[j], c.tol)
+            joined = c.states[c.lat.join_table[i, j]]
+            table = sup(limit.coeffs - joined.coeffs)
+            worst_two = max(worst_two, diag.two_path_distance, table)
+            worst_l2 = max(worst_l2, frob(diag.l2_limit - joined.l2_projection))
+            worst_slice = max(worst_slice, diag.slice_residual)
+    return max(worst_two, worst_l2, worst_slice), (
+        f"paths {worst_two:.1e}, intersection {worst_l2:.1e}, "
+        f"slices {worst_slice:.1e}")
+
+
+def _commutation(c):
+    for i, a in enumerate(c.states):
+        for j, b in enumerate(c.states):
+            lattice.commutation_equivalences(
+                a, b, c.tol, joined=c.states[c.lat.join_table[i, j]])
+    return 0.0, f"{len(c.states) ** 2} pairs"
+
+
+def modular_law(lat: lattice.IdempotentLattice,
+                tol: float = hopf.DERIVED_TOL) -> dict[tuple[int, int, int], float]:
+    """The conditional modular law, read off the lattice's tables.
+
+    Hypotheses on a triple (omega, mu, rho) of state indices: rho precedes
+    omega; rho and mu commute (their join is the convolution product); the
+    meet coideal of omega and mu is spanned by plain products of their
+    coideals.  Under these the two bracketings agree: omega meet (mu join
+    rho) equals (omega meet mu) join rho.  The tables were built by the
+    operations and verified extremal, so composing indices composes the
+    operations.  Returns the distance between the bracketings for every
+    triple that meets the hypotheses.
+    """
+    states = lat.states
+    group = states[0].home
+    k = len(states)
+    commute = [[sup(states[lat.join_table[r, m]].coeffs - harmonic.convolve(
+                    states[r].functional, states[m].functional).coeffs) < tol
+                for m in range(k)] for r in range(k)]
+    distances = {}
+    for o in range(k):
+        for m in range(k):
+            products = np.einsum("ai,abc,bj->cij", states[o].coideal.basis,
+                                 group.mult, states[m].coideal.basis)
+            span = coideal.coideal_from_span(group, products.reshape(group.dim, -1), tol)
+            meet_coideal = states[lat.meet_table[o, m]].coideal
+            if subspace_distance(span.gns_basis(),
+                                 meet_coideal.gns_basis()) >= 100 * tol:
+                continue
+            for r in range(k):
+                if lat.order[r, o] and commute[r][m]:
+                    lhs = lat.meet_table[o, lat.join_table[m, r]]
+                    rhs = lat.join_table[lat.meet_table[o, m], r]
+                    distances[o, m, r] = sup(states[lhs].coeffs - states[rhs].coeffs)
+    return distances
+
+
+def _modular_law(c):
+    distances = modular_law(c.lat, c.tol)
+    return _largest(distances.values()), f"{len(distances)} applicable triples"
+
+
+def _double_dual(c):
+    pair2 = duality.dual(c.pair.dual_group, c.tol)
+    return _largest(sup(duality.dual_state(ds, pair2, c.tol).coeffs - s.coeffs)
+                    for s, ds in zip(c.states, c.dual_states)), ""
+
+
+def _dual_support_slice(c):
+    return _largest(frob(duality.slice_first_leg(c.pair.regular, ds.coeffs)
+                         - c.space.represent(s.q_perp))
+                    for s, ds in zip(c.states, c.dual_states)), ""
+
+
+def _codual_involution(c):
+    backs = [duality.codual(once, c.pair, "dual", c.tol) for once in c.coduals]
+    return _largest(subspace_distance(back.gns_basis(), s.coideal.gns_basis())
+                    for s, back in zip(c.states, backs)), ""
+
+
+def _codual_state(c):
+    # the dual state by a second route: the state of the co-dual coideal
+    return _largest(sup(coideal.state_from_coideal(once, c.tol).coeffs - ds.coeffs)
+                    for once, ds in zip(c.coduals, c.dual_states)), ""
+
+
+def _exchange(c):
+    # duality swaps the operations: the dual of a meet is the join of the
+    # duals in the dual lattice's tables, and the other way round
+    duals, k = c.dual_states, len(c.states)
+    dual_lat = lattice.build_lattice(duals, c.tol)
+    swapped = ((c.lat.meet_table, dual_lat.join_table),
+               (c.lat.join_table, dual_lat.meet_table))
+    return (_largest(sup(duals[ours[i, j]].coeffs - duals[theirs[i, j]].coeffs)
+                     for i in range(k) for j in range(i, k) for ours, theirs in swapped),
+            f"{k * (k + 1) // 2} pairs through the dual lattice")
+
+
+def _qperp_order(c):
+    mismatches = sum(
+        bool(c.lat.order[i, j]) != (frob(c.group.multiply(b.q_perp, a.q_perp) - a.q_perp) < c.tol)
+        for i, a in enumerate(c.states) for j, b in enumerate(c.states))
+    return float(mismatches), ""
+
+
+def _projection_identity(c):
+    worst = 0.0
+    eye, w = np.eye(c.group.dim), c.pair.regular.w
+    for s in c.states:
+        p = s.l2_projection
+        lhs = dagger(w) @ np.kron(eye, p) @ w @ np.kron(p, eye)
+        worst = max(worst, frob(lhs - np.kron(p, p)))
+    return worst, ""
+
+
+STAGE = None   # the tolerance of a pipeline stage: it fills the context
+_axiom_tol = operator.attrgetter("axiom_tol")
+_tol = operator.attrgetter("tol")
+
+# (key, tolerance, check) in report order.  A tolerance is a number or a
+# function of the context; a check returns (residual, detail) and passes
+# when the residual is below the tolerance.
+check_table = [
+    ("axioms", _axiom_tol, _axioms),
+    ("haar-permutation-invariance", 1e-12, _haar_permutation),
+    ("gns-left-regular", 1e-12, _gns_left_regular),
+    ("convolution-associativity", 1e-10, _convolution_associativity),
+    ("enumerate_idempotents", STAGE, _enumerate),
+    ("enumeration", 0.5, lambda c: (
+        float(len(c.states) < 2),
+        f"{len(c.states)} states ({c.enum.report.coverage})")),
+    ("dual", STAGE, _dual),
+    ("pentagon", 1e-10, lambda c: (
+        c.pair.regular.residuals["pentagon"], f"unitary kind {c.pair.regular.kind}")),
+    ("dual-axioms", _tol, lambda c: (c.pair.convention.residuals["dual-axioms"], "")),
+    ("biduality", _tol, lambda c: (c.pair.convention.residuals["biduality"], "")),
+    ("support-reconstruction", _tol, _per_state(lambda c, s: sup(
+        harmonic.state_from_qperp(c.group, s.q_perp).coeffs - s.coeffs))),
+    ("support-group-like", _tol, _per_state(lambda c, s: max(
+        harmonic.projection_defect(c.group, s.q_perp),
+        harmonic.group_like_defect(c.group, s.q_perp)))),
+    ("support-annihilation", _tol, _per_state(lambda c, s: frob(c.group.tensor_multiply(
+        c.group.coproduct(c.group.unit - s.q_perp), np.outer(s.q_perp, s.q_perp))))),
+    ("support-antipode-invariant", _tol, _per_state(lambda c, s: frob(
+        c.group.antipode_of(c.group.unit - s.q_perp) - (c.group.unit - s.q_perp)))),
+    ("coideal-membership-criterion", _tol, _per_state(_membership)),
+    ("support-minimal-central", _tol, _per_state(_minimal_central)),
+    ("haar-type-oracle", 0.5, _haar_type_oracle),
+    # the lattice's order matrix ran preceq, which demands that its four
+    # criteria agree, on every ordered pair
+    ("order-criteria-agreement", 1.0, lambda c: (
+        0.0, f"{c.lat.order.size} ordered pairs")),
+    ("order-criteria-via-coideals", 0.5, _order_via_coideals),
+    ("state-coideal-bijection", _tol, _bijection),
+    ("expectation-gns-projection", 1e-10, _expectation_projection),
+    ("expectation-uniqueness", lambda c: 100 * c.tol, _expectation_uniqueness),
+    # the lattice verified its order and tables as it was built
+    ("lattice-order-and-tables", 1.0, lambda c: (
+        0.0, f"{len(c.states)} states, {len(c.lat.hasse_edges)} covers")),
+    ("join-two-paths", 1e-8, _join_paths),
+    ("commutation-equivalences", 1.0, _commutation),
+    ("modular-law", _tol, _modular_law),
+    ("double-dual-roundtrip", 1e-8, _double_dual),
+    ("dual-support-slice", 1e-8, _dual_support_slice),
+    ("dual-projection-group-like", _tol, lambda c: (_largest(
+        harmonic.group_like_defect(c.pair.dual_group, s.coeffs) for s in c.states), "")),
+    ("codual-involution", _tol, _codual_involution),
+    ("codual-state-consistency", 1e-8, _codual_state),
+    ("duality-exchange", 1e-8, _exchange),
+    ("support-order-criterion", 0.5, _qperp_order),
+    ("dual-projection-identity", _tol, _projection_identity),
+]
+
+
+def _safe(key, fn, context, tol) -> CheckResult:
     """Run one residual-valued check, converting exceptions to failures."""
     try:
-        residual, detail = fn()
-        results.append(CheckResult(key, bool(residual < tol), float(residual), detail))
+        residual, detail = fn(context)
     except CriteriaDisagree as exc:
-        results.append(CheckResult(key, False, float("inf"), str(exc), internal=True))
+        return CheckResult(key, False, float("inf"), str(exc), internal=True)
     except QuantumGroupError as exc:
-        results.append(CheckResult(key, False, float("inf"), str(exc)))
+        return CheckResult(key, False, float("inf"), str(exc))
+    return CheckResult(key, bool(residual < tol), float(residual), detail)
 
 
 def run_all_checks(group: hopf.FiniteQuantumGroup,
@@ -41,351 +407,15 @@ def run_all_checks(group: hopf.FiniteQuantumGroup,
                    tol: float = hopf.DERIVED_TOL,
                    seed: int = lattice.DEFAULT_SEED,
                    restarts: int = lattice.DEFAULT_RESTARTS) -> list[CheckResult]:
-    group = hopf.with_haar(group)
-    space = hopf.gns(group)
-    n = group.dim
-    results: list[CheckResult] = []
-    rng = np.random.default_rng(seed)
-
-    report = hopf.validate(group, axiom_tol)
-    results.append(CheckResult("axioms", report.passed, report.max_residual,
-                               ", ".join(report.failing())))
-
-    def haar_permutation():
-        perm = rng.permutation(n)
-        inv = np.argsort(perm)
-        permuted = hopf.FiniteQuantumGroup(
-            dim=n,
-            mult=group.mult[np.ix_(inv, inv, inv)],
-            unit=group.unit[inv],
-            comult=group.comult[np.ix_(inv, inv, inv)],
-            counit=group.counit[inv],
-            antipode=group.antipode[np.ix_(inv, inv)],
-            star=group.star[np.ix_(inv, inv)])
-        h = hopf.compute_haar(permuted)
-        return sup(h - group.haar[inv]), ""
-    _safe(results, "haar-permutation-invariance", haar_permutation, 1e-12)
-
-    def gns_left_regular():
-        worst = 0.0
-        eye = np.eye(n)
-        for i in range(n):
-            for a in range(n):
-                lhs = space.left_mult[i] @ space.embed(eye[a])
-                rhs = space.embed(group.multiply(eye[i], eye[a]))
-                worst = max(worst, frob(lhs - rhs))
-        return worst, ""
-    _safe(results, "gns-left-regular", gns_left_regular, 1e-12)
-
-    def conv_assoc():
-        worst = 0.0
-        for _ in range(10):
-            fs = [harmonic.Functional(home=group,
-                                      coeffs=rng.standard_normal(n)
-                                      + 1j * rng.standard_normal(n))
-                  for _ in range(3)]
-            lhs = harmonic.convolve(harmonic.convolve(fs[0], fs[1]), fs[2])
-            rhs = harmonic.convolve(fs[0], harmonic.convolve(fs[1], fs[2]))
-            worst = max(worst, sup(lhs.coeffs - rhs.coeffs)
-                        / max(1.0, sup(rhs.coeffs)))
-        return worst, ""
-    _safe(results, "convolution-associativity", conv_assoc, 1e-10)
-
-    enum = lattice.enumerate_idempotents(group, strategy="auto", seed=seed,
-                                         restarts=restarts, tol=tol)
-    states = enum.states
-    lat = enum.lattice
-    results.append(CheckResult("enumeration", len(states) >= 2, 0.0,
-                               f"{len(states)} states ({enum.report.coverage})"))
-
-    pair = duality.dual(group, tol)
-    reg = pair.regular
-    results.append(CheckResult(
-        "pentagon", reg.residuals["pentagon"] < 1e-10,
-        reg.residuals["pentagon"], f"unitary kind {reg.kind}"))
-    results.append(CheckResult(
-        "dual-axioms", pair.convention.residuals["dual-axioms"] < tol,
-        pair.convention.residuals["dual-axioms"], ""))
-    results.append(CheckResult(
-        "biduality", pair.convention.residuals["biduality"] < tol,
-        pair.convention.residuals["biduality"], ""))
-
-    def per_state(fn):
-        worst, which = 0.0, ""
-        for s in states:
-            r = fn(s)
-            if r > worst:
-                worst, which = r, s.name or "?"
-        return worst, which
-
-    _safe(results, "support-reconstruction",
-          lambda: per_state(lambda s: sup(
-              harmonic.state_from_qperp(group, s.q_perp).coeffs - s.coeffs)), tol)
-
-    _safe(results, "support-group-like",
-          lambda: per_state(lambda s: max(
-              harmonic.projection_defect(group, s.q_perp),
-              harmonic.group_like_defect(group, s.q_perp))), tol)
-
-    def annihilation(s):
-        q = group.unit - s.q_perp
-        dq = group.coproduct(q)
-        qp2 = np.outer(s.q_perp, s.q_perp)
-        return frob(group.tensor_multiply(dq, qp2))
-    _safe(results, "support-annihilation", lambda: per_state(annihilation), tol)
-
-    _safe(results, "support-antipode-invariant",
-          lambda: per_state(lambda s: frob(
-              group.antipode_of(group.unit - s.q_perp) - (group.unit - s.q_perp))), tol)
-
-    def membership(s):
-        # solution space of coproduct(x)(1 (x) qperp) = x (x) qperp vs the coideal
-        cols = []
-        eye = np.eye(n)
-        one_q = np.outer(group.unit, s.q_perp)
-        for i in range(n):
-            lhs = group.tensor_multiply(group.coproduct(eye[i]), one_q)
-            rhs = np.outer(eye[i], s.q_perp)
-            cols.append((lhs - rhs).reshape(-1))
-        kernel = nullspace(np.column_stack(cols))
-        kernel_l2 = space.orthonormal_basis @ kernel
-        return subspace_distance(orthonormal_columns(kernel_l2),
-                                 s.coideal.gns_basis())
-    _safe(results, "coideal-membership-criterion", lambda: per_state(membership), tol)
-
-    def minimal_central(s):
-        q = s.q_perp
-        basis = s.coideal.basis
-        worst = 0.0 if s.coideal.contains(q, tol) else 1.0
-        compressed = []
-        for i in range(basis.shape[1]):
-            b = basis[:, i]
-            worst = max(worst, frob(group.multiply(q, b) - group.multiply(b, q)))
-            compressed.append(group.multiply(group.multiply(q, b), q))
-        rank = orthonormal_columns(np.column_stack(compressed)).shape[1]
-        if rank != 1:
-            worst = max(worst, 1.0)
-        return worst
-    _safe(results, "support-minimal-central", lambda: per_state(minimal_central), tol)
-
-    def haar_type_oracle():
-        if not enum.report.recognized:
-            return 0.0, "no oracle (unrecognized group)"
-        name = enum.report.recognized
-        _, short = name.split("_", 1)
-        table, _ = catalog.group_table(short)
-        worst = 0.0
-        for s in states:
-            sub = catalog.subgroup_of_state(name, s.coeffs)
-            if sub is None:
-                return 1.0, "state is not a subgroup state"
-            expected = (True if name.startswith("c_")
-                        else catalog.is_normal([list(r) for r in table], sub))
-            if harmonic.haar_type_test(s, tol) != expected:
-                worst = 1.0
-        return worst, ""
-    _safe(results, "haar-type-oracle", haar_type_oracle, 0.5)
-
-    def order_criteria():
-        # the lattice's order matrix ran preceq, which demands that its
-        # four criteria agree, on every ordered pair
-        return 0.0, f"{lat.order.size} ordered pairs"
-    _safe(results, "order-criteria-agreement", order_criteria, 1.0)
-
-    @functools.cache
-    def expectations():
-        return [coideal.expectation(s, tol) for s in states]
-
-    def order_via_coideals():
-        es = expectations()
-        projections = [s.l2_projection for s in states]
-        disagreements = 0
-        for i, a in enumerate(states):
-            for j, b in enumerate(states):
-                conv = sup(harmonic.convolve(a.functional, b.functional).coeffs
-                           - b.coeffs) < tol
-                comp = frob(es[i] @ es[j] - es[j]) < 100 * tol
-                crossing = coideal.intersect(a.coideal, b.coideal, tol)
-                contain = subspace_distance(
-                    crossing.gns_basis(), b.coideal.gns_basis()) < 100 * tol
-                porder = frob(projections[i] @ projections[j]
-                              - projections[j]) < 100 * tol
-                if len({conv, comp, contain, porder}) != 1:
-                    disagreements += 1
-        return float(disagreements), ""
-    _safe(results, "order-criteria-via-coideals", order_via_coideals, 0.5)
-
-    def bijection():
-        worst = 0.0
-        for s in states:
-            back = coideal.state_from_coideal(s.coideal, tol)
-            worst = max(worst, sup(back.coeffs - s.coeffs))
-            worst = max(worst, subspace_distance(back.coideal.gns_basis(),
-                                                 s.coideal.gns_basis()))
-        return worst, ""
-    _safe(results, "state-coideal-bijection", bijection, tol)
-
-    def eq_expectation_projection():
-        worst = 0.0
-        for s in states:
-            l2map = (space.orthonormal_basis @ s.conditional_expectation
-                     @ space.inverse_basis)
-            worst = max(worst, frob(l2map - s.l2_projection))
-        return worst, ""
-    _safe(results, "expectation-gns-projection", eq_expectation_projection, 1e-10)
-
-    def expectation_battery():
-        worst = 0.0
-        for s, e in zip(states, expectations()):
-            trace_e = coideal.trace_expectation(s.coideal)
-            worst = max(worst, frob(e - trace_e))
-        return worst, "trace vs convolution expectation"
-    _safe(results, "expectation-uniqueness", expectation_battery, 100 * tol)
-
-    results.append(CheckResult("lattice-order-and-tables", True, 0.0,
-                               f"{len(states)} states, {len(lat.hasse_edges)} covers"))
-
-    def join_paths():
-        # the join by its definition, the limit of convolution powers, once
-        # per pair; "paths" also holds its distance to the table's join
-        worst_two, worst_l2, worst_slice = 0.0, 0.0, 0.0
-        for i, a in enumerate(states):
-            for j in range(i, len(states)):
-                limit, diag = lattice.join_with_diagnostics(a, states[j], tol)
-                table = sup(limit.coeffs - states[lat.join_table[i, j]].coeffs)
-                worst_two = max(worst_two, diag.two_path_distance, table)
-                worst_l2 = max(worst_l2, diag.l2_intersection_residual)
-                worst_slice = max(worst_slice, diag.slice_residual)
-        return max(worst_two, worst_l2, worst_slice), (
-            f"paths {worst_two:.1e}, intersection {worst_l2:.1e}, "
-            f"slices {worst_slice:.1e}")
-    _safe(results, "join-two-paths", join_paths, 1e-8)
-
-    def commutation():
-        for i, a in enumerate(states):
-            for j, b in enumerate(states):
-                lattice.commutation_equivalences(
-                    a, b, tol, joined=states[lat.join_table[i, j]])
-        return 0.0, f"{len(states) ** 2} pairs"
-    _safe(results, "commutation-equivalences", commutation, 1.0)
-
-    def modular():
-        # table-driven sweep: the tables were built by the real operations
-        # and verified extremal, so index composition is the two bracketings
-        k = len(states)
-        applicable = 0
-        worst = 0.0
-        for oi in range(k):
-            for mi in range(k):
-                for ri in range(k):
-                    if not lat.order[ri, oi]:
-                        continue
-                    rm = harmonic.convolve(states[ri].functional,
-                                           states[mi].functional)
-                    if sup(states[lat.join_table[ri, mi]].coeffs - rm.coeffs) >= tol:
-                        continue
-                    prod_span = np.einsum(
-                        "ai,abc,bj->cij", states[oi].coideal.basis, group.mult,
-                        states[mi].coideal.basis).reshape(n, -1)
-                    span = coideal.coideal_from_span(group, prod_span, tol)
-                    meet_coid = states[lat.meet_table[oi, mi]].coideal
-                    if subspace_distance(span.gns_basis(),
-                                         meet_coid.gns_basis()) >= 100 * tol:
-                        continue
-                    applicable += 1
-                    lhs = lat.meet_table[oi, lat.join_table[mi, ri]]
-                    rhs = lat.join_table[lat.meet_table[oi, mi], ri]
-                    worst = max(worst, sup(states[lhs].coeffs - states[rhs].coeffs))
-        return worst, f"{applicable} applicable triples"
-    _safe(results, "modular-law", modular, tol)
-
-    @functools.cache
-    def dual_states():
-        return [duality.dual_state(s, pair, tol) for s in states]
-
-    def double_dual():
-        pair2 = duality.dual(pair.dual_group, tol)
-        worst = 0.0
-        for s, ds in zip(states, dual_states()):
-            back = duality.dual_state(ds, pair2, tol)
-            worst = max(worst, sup(back.coeffs - s.coeffs))
-        return worst, ""
-    _safe(results, "double-dual-roundtrip", double_dual, 1e-8)
-
-    def dual_support_slice():
-        worst = 0.0
-        for s, ds in zip(states, dual_states()):
-            sliced = duality.slice_first_leg(reg, ds.coeffs)
-            worst = max(worst, frob(sliced - space.represent(s.q_perp)))
-        return worst, ""
-    _safe(results, "dual-support-slice", dual_support_slice, 1e-8)
-
-    def dual_group_like():
-        worst = 0.0
-        for s in states:
-            worst = max(worst, harmonic.group_like_defect(pair.dual_group, s.coeffs))
-        return worst, ""
-    _safe(results, "dual-projection-group-like", dual_group_like, tol)
-
-    @functools.cache
-    def coduals():
-        return [duality.codual(s.coideal, pair, "primal", tol) for s in states]
-
-    def codual_involution():
-        worst = 0.0
-        for s, once in zip(states, coduals()):
-            back = duality.codual(once, pair, "dual", tol)
-            worst = max(worst, subspace_distance(back.gns_basis(),
-                                                 s.coideal.gns_basis()))
-        return worst, ""
-    _safe(results, "codual-involution", codual_involution, tol)
-
-    def codual_state():
-        # the dual state by a second route: the state of the co-dual coideal
-        worst = 0.0
-        for once, ds in zip(coduals(), dual_states()):
-            via_coideal = coideal.state_from_coideal(once, tol)
-            worst = max(worst, sup(via_coideal.coeffs - ds.coeffs))
-        return worst, ""
-    _safe(results, "codual-state-consistency", codual_state, 1e-8)
-
-    def exchange():
-        duals = dual_states()
-        dual_lat = lattice.build_lattice(duals, tol)
-        worst = 0.0
-        k = len(states)
-        for i in range(k):
-            for j in range(i, k):
-                worst = max(worst, sup(
-                    duals[lat.meet_table[i, j]].coeffs
-                    - duals[dual_lat.join_table[i, j]].coeffs))
-                worst = max(worst, sup(
-                    duals[lat.join_table[i, j]].coeffs
-                    - duals[dual_lat.meet_table[i, j]].coeffs))
-        return worst, f"{k * (k + 1) // 2} pairs through the dual lattice"
-    _safe(results, "duality-exchange", exchange, 1e-8)
-
-    def qperp_order():
-        mismatches = 0
-        for i, a in enumerate(states):
-            for j, b in enumerate(states):
-                claimed = lat.order[i, j]
-                via_q = frob(group.multiply(b.q_perp, a.q_perp) - a.q_perp) < tol
-                if claimed != via_q:
-                    mismatches += 1
-        return float(mismatches), ""
-    _safe(results, "support-order-criterion", qperp_order, 0.5)
-
-    def projection_identity():
-        worst = 0.0
-        eye = np.eye(n)
-        for s in states:
-            p = s.l2_projection
-            lhs = dagger(reg.w) @ np.kron(eye, p) @ reg.w @ np.kron(p, eye)
-            worst = max(worst, frob(lhs - np.kron(p, p)))
-        return worst, ""
-    _safe(results, "dual-projection-identity", projection_identity, tol)
-
+    """The checks of check_table in order; an error in a stage propagates."""
+    context = CheckContext(group, axiom_tol, tol, seed, restarts)
+    results = []
+    for key, bound, fn in check_table:
+        if bound is STAGE:
+            fn(context)
+        else:
+            results.append(_safe(key, fn, context,
+                                 bound(context) if callable(bound) else bound))
     return results
 
 

@@ -117,32 +117,6 @@ def coideal_from_span(group, vectors, tol: float = DEFAULT_TOL) -> Coideal:
         defects=defects)
 
 
-def coideal_to_dict(coid: Coideal) -> dict:
-    """JSON form: basis vectors in algebra coordinates, plus flags."""
-    return {
-        "basis": hopf.complex_pairs(coid.basis.T),
-        "flags": {"is_subalgebra": coid.is_subalgebra,
-                  "is_star_closed": coid.is_star_closed,
-                  "is_coideal": coid.is_coideal,
-                  "contains_unit": coid.contains_unit},
-        "group_hash": hopf.group_hash(hopf.with_haar(coid.home)),
-    }
-
-
-def coideal_from_dict(doc: dict, group: hopf.FiniteQuantumGroup,
-                      tol: float = DEFAULT_TOL) -> Coideal:
-    from .errors import ParseError
-
-    if "basis" not in doc:
-        raise ParseError("missing field: basis")
-    expected = hopf.group_hash(hopf.with_haar(group))
-    if doc.get("group_hash") not in (None, expected):
-        raise ParseError("group_hash: coideal belongs to a different group")
-    cols = [np.array([complex(re, im) for re, im in col])
-            for col in doc["basis"]]
-    return coideal_from_span(group, np.column_stack(cols), tol)
-
-
 # ----------------------------------------------------------------------
 # conditional expectations
 # ----------------------------------------------------------------------

@@ -327,34 +327,3 @@ def dual_state(state: IdempotentState, pair: DualPair,
         raise InternalInconsistency(
             "dual state's support is not the original coefficient vector")
     return out
-
-
-def double_dual_state(state: IdempotentState, pair: DualPair,
-                      tol: float = DEFAULT_TOL) -> IdempotentState:
-    """Apply the duality twice; lands on the double dual group."""
-    once = dual_state(state, pair, tol)
-    return dual_state(once, dual(pair.dual_group, tol), tol)
-
-
-@dataclasses.dataclass
-class ExchangeReport:
-    meet_distance: float
-    join_distance: float
-    passed: bool
-
-
-def duality_exchange_check(a: IdempotentState, b: IdempotentState,
-                           pair: DualPair, tol: float = DEFAULT_TOL) -> ExchangeReport:
-    """Duality swaps the lattice operations: meets go to joins and back."""
-    from . import lattice  # deferred: lattice builds on this module
-
-    da = dual_state(a, pair, tol)
-    db = dual_state(b, pair, tol)
-    lhs_meet = dual_state(lattice.meet(a, b, tol), pair, tol)
-    rhs_meet = lattice.join(da, db, tol=tol)
-    d1 = sup(lhs_meet.coeffs - rhs_meet.coeffs)
-    lhs_join = dual_state(lattice.join(a, b, tol=tol), pair, tol)
-    rhs_join = lattice.meet(da, db, tol)
-    d2 = sup(lhs_join.coeffs - rhs_join.coeffs)
-    return ExchangeReport(meet_distance=d1, join_distance=d2,
-                          passed=bool(d1 < 100 * tol and d2 < 100 * tol))

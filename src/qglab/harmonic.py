@@ -232,11 +232,6 @@ def group_like_defect(group: hopf.FiniteQuantumGroup, p) -> float:
     return frob(group.tensor_multiply(dp, one_p) - np.outer(p, p))
 
 
-def group_like_check(group: hopf.FiniteQuantumGroup, p,
-                     tol: float = DEFAULT_TOL) -> bool:
-    return projection_defect(group, p) < tol and group_like_defect(group, p) < tol
-
-
 def haar_type_test(phi, tol: float = DEFAULT_TOL) -> bool:
     """Whether the null space of the state is a two-sided *-closed ideal.
 
@@ -348,35 +343,6 @@ def preceq(mu, nu, tol: float = DEFAULT_TOL) -> bool:
             f"convolution {r1:.2e}, expectation {r2:.2e}, "
             f"range {r3:.2e}, projection {r4:.2e}")
     return answers[0]
-
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-def functional_to_dict(phi: Functional) -> dict:
-    """JSON form: the covector plus the content hash of its group."""
-    doc = {
-        "coeffs": hopf.complex_pairs(phi.coeffs),
-        "group_hash": hopf.group_hash(hopf.with_haar(phi.home)),
-    }
-    if phi.name:
-        doc["name"] = phi.name
-    return doc
-
-
-def functional_from_dict(doc: dict, group: hopf.FiniteQuantumGroup) -> Functional:
-    from .errors import ParseError
-
-    if "coeffs" not in doc:
-        raise ParseError("missing field: coeffs")
-    expected = hopf.group_hash(hopf.with_haar(group))
-    if doc.get("group_hash") not in (None, expected):
-        raise ParseError(
-            f"group_hash: functional belongs to {doc['group_hash']}, "
-            f"not {expected}")
-    coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
-    return Functional(home=group, coeffs=coeffs, name=doc.get("name"))
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qglab import catalog, cli, hopf, lattice
+from qglab.errors import CriteriaDisagree, NoConvergence
 
 
 def run(capsys, *argv):
@@ -206,6 +207,22 @@ def test_internal_inconsistency_maps_to_exit_3(z2_file, capsys, monkeypatch):
     code, _, err = run(capsys, "check", z2_file)
     assert code == 3
     assert "internal inconsistency" in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (CriteriaDisagree, 3),   # a check's own criteria disagree: internal
+    (NoConvergence, 1),      # any other error inside a check: it fails
+])
+def test_check_exit_code_follows_the_failure_kind(z2_file, capsys, monkeypatch,
+                                                  error, code):
+    def boom(*args, **kwargs):
+        raise error("forced inside one check")
+
+    monkeypatch.setattr(lattice, "commutation_equivalences", boom)
+    got, out, err = run(capsys, "check", z2_file)
+    assert got == code
+    assert "commutation-equivalences" in err
+    assert "FAIL (commutation-equivalences)" in out
 
 
 def test_run_config_validation():

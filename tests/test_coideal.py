@@ -269,12 +269,3 @@ def test_order_criteria_through_coideal_operations(c_s3):
             porder = frob(a.l2_projection @ b.l2_projection
                           - b.l2_projection) < 1e-7
             assert conv == comp == contain == porder
-
-
-def test_coideal_json_roundtrip(c_s3):
-    state = coideal.as_idempotent_state(
-        catalog.uniform_measure_functional(c_s3, s3_subgroup({"e", "(12)"})))
-    doc = coideal.coideal_to_dict(state.coideal)
-    again = coideal.coideal_from_dict(doc, c_s3)
-    assert subspace_distance(again.gns_basis(), state.coideal.gns_basis()) < 1e-10
-    assert again.is_coideal and again.is_subalgebra

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qglab import catalog, checks, coideal, duality, harmonic, hopf, lattice
+from qglab.errors import CriteriaDisagree, NoConvergence
 from qglab.linalg import dagger, frob, subspace_distance
 from conftest import dihedral_table, s3_subgroup
 
@@ -263,8 +264,9 @@ def test_dual_state_of_uniform_is_indicator(c_s3, cg_s3):
 def test_double_dual_roundtrip(name):
     g, states = catalog_states(name)
     pair = duality.dual(g)
+    double = duality.dual(pair.dual_group)
     for s in states:
-        back = duality.double_dual_state(s, pair)
+        back = duality.dual_state(duality.dual_state(s, pair), double)
         assert np.max(np.abs(back.coeffs - s.coeffs)) < 1e-8
 
 
@@ -284,7 +286,8 @@ def test_state_coefficients_group_like_on_dual(name):
     g, states = catalog_states(name)
     pair = duality.dual(g)
     for s in states:
-        assert harmonic.group_like_check(pair.dual_group, s.coeffs)
+        assert harmonic.projection_defect(pair.dual_group, s.coeffs) < 1e-9
+        assert harmonic.group_like_defect(pair.dual_group, s.coeffs) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "c_z4"])
@@ -312,14 +315,22 @@ def test_preceq_iff_support_order(name):
             assert claimed == via_support
 
 
+def exchange_distances(a, b, pair):
+    """How far duality is from swapping the meet and the join of a and b."""
+    da, db = duality.dual_state(a, pair), duality.dual_state(b, pair)
+    meet_dual = duality.dual_state(lattice.meet(a, b), pair)
+    join_dual = duality.dual_state(lattice.join(a, b), pair)
+    return (np.max(np.abs(meet_dual.coeffs - lattice.join(da, db).coeffs)),
+            np.max(np.abs(join_dual.coeffs - lattice.meet(da, db).coeffs)))
+
+
 def test_exchange_examples(c_s3):
     g, states = catalog_states("c_s3")
     pair = duality.dual(g)
     by_sub = {catalog.subgroup_of_state("c_s3", s.coeffs): s for s in states}
     s12 = by_sub[s3_subgroup({"e", "(12)"})]
     s13 = by_sub[s3_subgroup({"e", "(13)"})]
-    report = duality.duality_exchange_check(s12, s13, pair)
-    assert report.passed
+    assert max(exchange_distances(s12, s13, pair)) < 100 * 1e-9
     # both named identities: the dual of the meet is the join of the duals
     meet_dual = duality.dual_state(lattice.meet(s12, s13), pair)
     assert np.max(np.abs(meet_dual.coeffs - pair.dual_group.haar)) < 1e-8
@@ -333,7 +344,7 @@ def test_exchange_all_pairs(name):
     pair = duality.dual(g)
     for i, a in enumerate(states):
         for b in states[i:]:
-            assert duality.duality_exchange_check(a, b, pair).passed
+            assert max(exchange_distances(a, b, pair)) < 100 * 1e-9
 
 
 def test_property_suite_builds_each_regular_unitary_once():
@@ -352,10 +363,12 @@ def test_property_suite_call_counts(monkeypatch):
     # derived maps (trace expectation, support projection, dual state) do
     # not re-verify what the state's type or the suite already certifies.
     # Each pair's convolution-power limit is built once, in join-two-paths,
-    # and checked there against the verified closed-form join in the table
+    # and checked there against the verified closed-form join in the table,
+    # whose L2 projection is held, so no pair's intersection is rebuilt
     calls = {"validate": 0, "join": 0, "dual_state": 0,
              "is_idempotent_state": 0, "preceq": 0, "expectation": 0,
-             "choi_min_eig": 0, "state_defects": 0, "_codual_primal": 0}
+             "choi_min_eig": 0, "state_defects": 0, "_codual_primal": 0,
+             "intersect": 0}
 
     def counted(module, attr, key):
         real = getattr(module, attr)
@@ -371,7 +384,7 @@ def test_property_suite_call_counts(monkeypatch):
     counted(coideal, "expectation", "expectation")
     for module in (harmonic, coideal, lattice, duality, checks):
         for attr in ("is_idempotent_state", "preceq", "choi_min_eig",
-                     "state_defects", "_codual_primal"):
+                     "state_defects", "_codual_primal", "intersect"):
             if hasattr(module, attr):
                 counted(module, attr, attr)
     duality.regular_unitary.cache_clear()
@@ -385,6 +398,7 @@ def test_property_suite_call_counts(monkeypatch):
     assert calls["choi_min_eig"] <= 6
     assert calls["state_defects"] <= 114
     assert calls["_codual_primal"] <= 12
+    assert calls["intersect"] <= 78
 
 
 def check_result(results, key):
@@ -421,3 +435,56 @@ def test_suite_catches_a_wrong_support_projection(monkeypatch):
     monkeypatch.setattr(lattice, "enumerate_idempotents", swapped)
     results = checks.run_all_checks(catalog.builtin("c_s3"))
     assert not check_result(results, "support-reconstruction").passed
+
+
+# the keys of `qglab check`, in report order
+CHECK_KEYS = [
+    "axioms", "haar-permutation-invariance", "gns-left-regular",
+    "convolution-associativity", "enumeration", "pentagon", "dual-axioms",
+    "biduality", "support-reconstruction", "support-group-like",
+    "support-annihilation", "support-antipode-invariant",
+    "coideal-membership-criterion", "support-minimal-central",
+    "haar-type-oracle", "order-criteria-agreement",
+    "order-criteria-via-coideals", "state-coideal-bijection",
+    "expectation-gns-projection", "expectation-uniqueness",
+    "lattice-order-and-tables", "join-two-paths", "commutation-equivalences",
+    "modular-law", "double-dual-roundtrip", "dual-support-slice",
+    "dual-projection-group-like", "codual-involution",
+    "codual-state-consistency", "duality-exchange", "support-order-criterion",
+    "dual-projection-identity"]
+
+
+def test_check_keys_and_order():
+    # the JSON report keeps its keys and their order
+    results = checks.run_all_checks(catalog.builtin("c_s3"))
+    assert [r.key for r in results] == CHECK_KEYS
+    keys = [key for key, _, _ in checks.check_table]
+    assert len(keys) == len(set(keys))
+
+
+def raising(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+def test_suite_reports_disagreeing_criteria_as_internal(monkeypatch):
+    monkeypatch.setattr(lattice, "commutation_equivalences",
+                        raising(CriteriaDisagree("forced disagreement")))
+    results = checks.run_all_checks(catalog.builtin("c_z2"))
+    failed = [r for r in results if not r.passed]
+    assert [r.key for r in failed] == ["commutation-equivalences"]
+    assert failed[0].internal
+    assert failed[0].residual == float("inf")
+    assert failed[0].detail == "forced disagreement"
+
+
+def test_suite_reports_other_errors_as_plain_failures(monkeypatch):
+    monkeypatch.setattr(lattice, "commutation_equivalences",
+                        raising(NoConvergence("forced stall")))
+    results = checks.run_all_checks(catalog.builtin("c_z2"))
+    failed = [r for r in results if not r.passed]
+    assert [r.key for r in failed] == ["commutation-equivalences"]
+    assert not failed[0].internal
+    assert failed[0].residual == float("inf")
+    assert failed[0].detail == "forced stall"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qglab import catalog, coideal, harmonic, lattice
+from qglab import catalog, checks, coideal, harmonic, lattice
 from qglab.errors import InternalInconsistency, NoConvergence
 from conftest import assert_same_lattice, dihedral_table, s3_subgroup
 
@@ -308,34 +308,42 @@ def test_commutation_never_disagrees_on_catalog(c_s3):
             lattice.commutation_equivalences(a, b)  # must not raise
 
 
+def s3_lattice_indices():
+    """The c_s3 lattice and the index of each subgroup's state in it."""
+    lat = lattice.enumerate_idempotents(catalog.builtin("c_s3"),
+                                        strategy="catalog").lattice
+    return lat, {catalog.subgroup_of_state("c_s3", s.coeffs): i
+                 for i, s in enumerate(lat.states)}
+
+
 def test_modular_law_named_instance():
-    _, by_sub = states_by_subgroup("c_s3")
-    omega = by_sub[frozenset(range(6))]
-    mu = by_sub[s3_subgroup({"e", "(12)"})]
-    rho = by_sub[s3_subgroup({"e", "(123)", "(132)"})]
-    report = lattice.modular_law_check(omega, mu, rho)
-    assert all(ok for ok, _ in report.hypotheses.values())
-    assert report.applicable
-    assert report.holds and report.conclusion_distance < 1e-9
+    # the triple meets every hypothesis, and the two bracketings agree
+    lat, index = s3_lattice_indices()
+    omega = index[frozenset(range(6))]
+    mu = index[s3_subgroup({"e", "(12)"})]
+    rho = index[s3_subgroup({"e", "(123)", "(132)"})]
+    law = checks.modular_law(lat)
+    assert (omega, mu, rho) in law
+    assert law[omega, mu, rho] < 1e-9
 
 
 def test_modular_law_flags_failed_hypothesis():
-    _, by_sub = states_by_subgroup("c_s3")
-    omega = by_sub[s3_subgroup({"e", "(12)"})]
-    mu = by_sub[s3_subgroup({"e", "(13)"})]
-    rho = by_sub[s3_subgroup({"e", "(123)", "(132)"})]
-    report = lattice.modular_law_check(omega, mu, rho)
-    assert not report.hypotheses["rho-precedes-omega"][0]
-    assert not report.applicable and report.holds is None
+    lat, index = s3_lattice_indices()
+    omega = index[s3_subgroup({"e", "(12)"})]
+    mu = index[s3_subgroup({"e", "(13)"})]
+    rho = index[s3_subgroup({"e", "(123)", "(132)"})]
+    assert not lat.order[rho, omega]
+    assert (omega, mu, rho) not in checks.modular_law(lat)
 
 
 def test_modular_law_with_counit_trivial():
-    g, by_sub = states_by_subgroup("c_s3")
-    omega = by_sub[s3_subgroup({"e", "(12)"})]
-    mu = by_sub[s3_subgroup({"e", "(123)", "(132)"})]
-    eps = by_sub[frozenset({0})]
-    report = lattice.modular_law_check(omega, mu, eps)
-    assert report.applicable and report.holds
+    lat, index = s3_lattice_indices()
+    omega = index[s3_subgroup({"e", "(12)"})]
+    mu = index[s3_subgroup({"e", "(123)", "(132)"})]
+    eps = index[frozenset({0})]
+    law = checks.modular_law(lat)
+    assert (omega, mu, eps) in law
+    assert law[omega, mu, eps] < 100 * 1e-9
 
 
 # ----------------------------------------------------------------------
