@@ -35,7 +35,6 @@ class RunConfig:
     path: str | None
     axiom_tol: float = hopf.AXIOM_TOL
     state_tol: float = hopf.DERIVED_TOL
-    dedup_tol: float = lattice.DEFAULT_DEDUP_TOL
     restarts: int = lattice.DEFAULT_RESTARTS
     seed: int = lattice.DEFAULT_SEED
     fmt: str = "text"
@@ -44,7 +43,7 @@ class RunConfig:
     name: str | None = None
 
     def __post_init__(self):
-        for field in ("axiom_tol", "state_tol", "dedup_tol"):
+        for field in ("axiom_tol", "state_tol"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field.replace('_', '-')} must be positive")
         if self.restarts < 0:
@@ -61,7 +60,6 @@ class RunConfig:
             path=getattr(args, "file", None),
             axiom_tol=getattr(args, "axiom_tol", hopf.AXIOM_TOL),
             state_tol=tol,
-            dedup_tol=getattr(args, "dedup_tol", lattice.DEFAULT_DEDUP_TOL),
             restarts=getattr(args, "restarts", lattice.DEFAULT_RESTARTS),
             seed=getattr(args, "seed", lattice.DEFAULT_SEED),
             fmt=getattr(args, "fmt", "text"),
@@ -117,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("auto", "catalog", "search"),
                    default="auto")
     p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS)
-    p.add_argument("--dedup-tol", type=float,
-                   default=lattice.DEFAULT_DEDUP_TOL)
 
     p = commands.add_parser("lattice", help="order, tables and Hasse diagram")
     _add_common(p)
@@ -182,7 +178,7 @@ def cmd_idempotents(config: RunConfig) -> int:
     group = _load(config)
     enum = lattice.enumerate_idempotents(
         group, strategy=config.strategy, restarts=config.restarts,
-        seed=config.seed, dedup_tol=config.dedup_tol, tol=config.state_tol)
+        seed=config.seed, tol=config.state_tol)
     doc = {
         "group_hash": hopf.group_hash(hopf.with_haar(group)),
         "report": {

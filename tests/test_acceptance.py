@@ -68,8 +68,7 @@ def test_criterion_02_enumeration_vs_oracle():
     for name, count in expected.items():
         g = catalog.builtin(name)
         enum = lattice.enumerate_idempotents(
-            g, strategy="search", restarts=200, seed=lattice.DEFAULT_SEED,
-            dedup_tol=1e-7)
+            g, strategy="search", restarts=200, seed=lattice.DEFAULT_SEED)
         ok = ok and len(enum.states) == count and enum.report.coverage == "full"
         found = {catalog.subgroup_of_state(name, s.coeffs)
                  for s in enum.states}

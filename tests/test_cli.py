@@ -168,6 +168,15 @@ def test_check_z2_passes(z2_file, capsys):
     assert "overall: pass" in out
 
 
+def test_check_trivial_group_passes(tmp_path, capsys):
+    # on C(e) the counit is the Haar state, the only idempotent state
+    path = tmp_path / "c_e.json"
+    path.write_text(hopf.save(hopf.function_algebra([[0]])) + "\n")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert "overall: pass" in out
+
+
 def test_check_json_format(z2_file, capsys):
     code, out, _ = run(capsys, "check", z2_file, "--format", "json")
     assert code == 0

@@ -364,11 +364,13 @@ def test_property_suite_call_counts(monkeypatch):
     # not re-verify what the state's type or the suite already certifies.
     # Each pair's convolution-power limit is built once, in join-two-paths,
     # and checked there against the verified closed-form join in the table,
-    # whose L2 projection is held, so no pair's intersection is rebuilt
+    # whose L2 projection is held, so no pair's intersection is rebuilt.
+    # The lattice closure matches meets and joins by coideal and builds a
+    # state only for a coideal that no listed state has
     calls = {"validate": 0, "join": 0, "dual_state": 0,
              "is_idempotent_state": 0, "preceq": 0, "expectation": 0,
              "choi_min_eig": 0, "state_defects": 0, "_codual_primal": 0,
-             "intersect": 0}
+             "intersect": 0, "state_from_coideal": 0}
 
     def counted(module, attr, key):
         real = getattr(module, attr)
@@ -384,7 +386,8 @@ def test_property_suite_call_counts(monkeypatch):
     counted(coideal, "expectation", "expectation")
     for module in (harmonic, coideal, lattice, duality, checks):
         for attr in ("is_idempotent_state", "preceq", "choi_min_eig",
-                     "state_defects", "_codual_primal", "intersect"):
+                     "state_defects", "_codual_primal", "intersect",
+                     "state_from_coideal"):
             if hasattr(module, attr):
                 counted(module, attr, attr)
     duality.regular_unitary.cache_clear()
@@ -392,13 +395,14 @@ def test_property_suite_call_counts(monkeypatch):
     checks.run_all_checks(catalog.builtin("c_s3"))
     assert {k: calls[k] for k in ("validate", "join", "dual_state")} == {
         "validate": 1, "join": 21, "dual_state": 12}
-    assert calls["is_idempotent_state"] <= 114
+    assert calls["is_idempotent_state"] <= 30
     assert calls["preceq"] <= 72
     assert calls["expectation"] <= 6
     assert calls["choi_min_eig"] <= 6
-    assert calls["state_defects"] <= 114
+    assert calls["state_defects"] <= 30
     assert calls["_codual_primal"] <= 12
     assert calls["intersect"] <= 78
+    assert calls["state_from_coideal"] <= 12
 
 
 def check_result(results, key):

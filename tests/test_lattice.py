@@ -382,6 +382,20 @@ def test_build_lattice_rejects_a_set_that_is_not_closed():
         lattice.build_lattice([a, b])
 
 
+def test_closure_builds_a_state_for_each_new_coideal():
+    # the meet and join of two transposition subgroups' states are new
+    # coideals, so the closure builds them: the counit and the Haar state
+    _, by_sub = states_by_subgroup("c_s3")
+    a = by_sub[s3_subgroup({"e", "(12)"})]
+    b = by_sub[s3_subgroup({"e", "(13)"})]
+    closed, meet_table, join_table = lattice._close([a, b], 1e-9)
+    assert len(closed) == 4
+    assert closed[0] is a and closed[1] is b
+    assert closed[2].distance(by_sub[s3_subgroup({"e"})]) < 1e-9
+    assert closed[3].distance(by_sub[frozenset(range(6))]) < 1e-9
+    assert meet_table[0, 1] == 2 and join_table[0, 1] == 3
+
+
 def test_singleton_lattice_is_trivial(c_z2):
     eps = coideal.as_idempotent_state(harmonic.convolution_unit(c_z2))
     lat = lattice.build_lattice([eps])
