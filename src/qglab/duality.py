@@ -253,6 +253,22 @@ def dual(group: hopf.FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> DualPair:
 # co-duals of coideals
 # ----------------------------------------------------------------------
 
+def _codual_system(comult: np.ndarray, legs: np.ndarray,
+                   proj: np.ndarray) -> np.ndarray:
+    """The (n**4, n) matrix of the co-dual membership equation.
+
+    Column i is (sum_jk comult[i, j, k] legs[j] (x) legs[k] P) - legs[i] (x) P,
+    with rows indexed by (a, b, c, d); the first term is contracted one leg
+    at a time, in place of one n**7 loop.
+    """
+    n = comult.shape[0]
+    legs_proj = np.einsum("kbd,de->kbe", legs, proj)
+    lhs = np.tensordot(np.tensordot(comult, legs, axes=([1], [0])),
+                       legs_proj, axes=([1], [0])).transpose(0, 1, 3, 2, 4)
+    rhs = np.einsum("iac,bd->iabcd", legs, proj)
+    return (lhs - rhs).reshape(n, n ** 4).T
+
+
 def _codual_primal(coid: Coideal, pair: DualPair, tol: float) -> Coideal:
     """Solve the dual-side membership equation against the range projection.
 
@@ -264,13 +280,8 @@ def _codual_primal(coid: Coideal, pair: DualPair, tol: float) -> Coideal:
     coideal for the opposite coproduct; this form is convention-stable.
     """
     dual_group = pair.dual_group
-    n = pair.group.dim
-    proj = coid.l2_projector()
-    legs = pair.lambda_rep
-    legs_proj = np.einsum("kbd,de->kbe", legs, proj)
-    lhs = np.einsum("ijk,jac,kbd->iabcd", dual_group.comult, legs, legs_proj)
-    rhs = np.einsum("iac,bd->iabcd", legs, proj)
-    system = (lhs - rhs).reshape(n, n ** 4).T
+    system = _codual_system(dual_group.comult, pair.lambda_rep,
+                            coid.l2_projector())
     kernel = nullspace(system)
     out = coideal_from_span(dual_group, kernel, tol)
     if not out.is_coideal:

@@ -116,8 +116,10 @@ class FiniteQuantumGroup:
 
     # tensor-square helpers; X, Y are (n, n) coefficient matrices
     def tensor_multiply(self, x, y) -> np.ndarray:
-        return np.einsum("jk,ab,jap,kbq->pq", np.asarray(x, complex),
-                         np.asarray(y, complex), self.mult, self.mult)
+        # pairwise: x with the first leg's mult, then y, then the second mult
+        xm = np.tensordot(np.asarray(x, complex), self.mult, axes=([0], [0]))
+        xym = np.tensordot(xm, np.asarray(y, complex), axes=([1], [0]))
+        return np.tensordot(xym, self.mult, axes=([0, 2], [0, 1]))
 
     def tensor_adjoint(self, x) -> np.ndarray:
         return self.star @ np.conj(np.asarray(x, complex)) @ self.star.T

@@ -372,23 +372,65 @@ def _positive_seed(group, rng):
     return y
 
 
-def _functional_of_element(group, y):
-    """The state x -> trace-state(y* y x), before normalization."""
-    rho = group.multiply(group.adjoint(y), y)
-    return np.einsum("i,ijk,k->j", rho, group.mult, group.haar)
+class _SearchKernel:
+    """The search's functional, residual and Jacobian from tensors held once.
+
+    For an element y the functional is c(y) = rho M_h, the state
+    x -> haar(y* y x) before normalization, with rho = y* y and
+    M_h[i, j] = sum_k mult[i, j, k] haar[k].  The residual is the
+    idempotency gap c * c - c in real coordinates of the hermitian basis,
+    then the row c(1) - 1.  The held tensors are built once per search.
+    """
+
+    def __init__(self, group):
+        mult_h = group.mult @ group.haar
+        self.group = group
+        # y @ a_term is the rows A_a M_h; y* @ b_term is the rows B_a M_h
+        self.a_term = hopf.star_mult_tensor(group) @ mult_h
+        self.b_term = (group.mult @ mult_h).reshape(group.dim, -1)
+        herm = hermitian_basis(group)
+        self.herm_re, self.herm_im = herm.real.copy(), herm.imag.copy()
+
+    def _b(self, y):
+        """The rows B_a M_h; y times them is c(y)."""
+        g = self.group
+        return (g.adjoint(y) @ self.b_term).reshape(g.dim, g.dim)
+
+    def _project(self, gap, norm):
+        """Real coordinates of gaps in the hermitian basis, then the unit row."""
+        return np.concatenate(
+            [gap.real @ self.herm_re + gap.imag @ self.herm_im, norm], axis=-1)
+
+    def functional(self, y):
+        return y @ self._b(y)
+
+    def residual(self, y):
+        c = self.functional(y)
+        gap = (self.group.comult @ c) @ c - c
+        return self._project(gap, [float((c @ self.group.unit).real) - 1.0])
+
+    def jacobian(self, y):
+        """(residual size, 2n) real Jacobian, columns (Re y_a, Im y_a) in turn.
+
+        The residual is quadratic in (y, conj y).  With
+        A_a = sum_{i,j} star[i, a] y_j mult[i, j, :] and
+        B_a = sum_i (y*)_i mult[i, a, :], rho moves by A_a + B_a along
+        Re y_a and by i (B_a - A_a) along Im y_a; dc = d rho M_h, and
+        d(c * c - c) = (L_c + R_c - I) dc, where L_c = comult @ c and
+        R_c = c @ comult contract c with comult's third and second legs.
+        """
+        g = self.group
+        b = self._b(y)
+        a = y @ self.a_term
+        c = y @ b
+        dc = np.empty((2 * g.dim, g.dim), dtype=complex)
+        dc[0::2] = a + b
+        dc[1::2] = 1j * (b - a)
+        lift = g.comult @ c + c @ g.comult - np.eye(g.dim)
+        return self._project(dc @ lift.T, (dc @ g.unit).real[:, None]).T
 
 
-def _search_residual(group, herm_basis, y):
-    """Real residual vector of idempotency plus normalization."""
-    coeffs = _functional_of_element(group, y)
-    f = Functional(home=group, coeffs=coeffs)
-    gap = convolve(f, f).coeffs - coeffs
-    stacked = np.concatenate([gap.real @ herm_basis.real + gap.imag @ herm_basis.imag,
-                              [float((coeffs @ group.unit).real) - 1.0]])
-    return stacked, coeffs
-
-
-def _gauss_newton_state(group, herm_basis, y0, target=1e-12, max_iter=120):
+def _gauss_newton_state(kernel, y0, target=1e-12, max_iter=120):
     """Levenberg-damped Gauss-Newton on the squared-element parametrization.
 
     Parametrizing the functional through y* y keeps every iterate positive,
@@ -396,30 +438,25 @@ def _gauss_newton_state(group, herm_basis, y0, target=1e-12, max_iter=120):
     the state space (a plain hermitian-coordinate Newton stalls on nearby
     non-positive idempotent functionals).  The damping handles the gauge
     directions of the parametrization, which make the plain normal
-    equations nearly singular.
+    equations nearly singular.  The Jacobian is in closed form, since the
+    residual is quadratic in (y, conj y): J = P (L_c + R_c - I) d(rho M_h),
+    where P takes real coordinates in the hermitian basis and appends the
+    unit row (see _SearchKernel.jacobian).
     """
-    n = group.dim
     y = y0.astype(complex)
-    res, _ = _search_residual(group, herm_basis, y)
+    res = kernel.residual(y)
     norm = float(np.linalg.norm(res))
-    basis = np.eye(n)
     lam = 1e-3
     for _ in range(max_iter):
         if norm < target:
             return y, norm, True
-        jac = np.empty((res.size, 2 * n))
-        eps = 1e-7 * max(1.0, float(np.linalg.norm(y)))
-        for a in range(n):
-            for part, shift in enumerate((eps, 1j * eps)):
-                bumped, _ = _search_residual(group, herm_basis, y + shift * basis[a])
-                jac[:, 2 * a + part] = (bumped - res) / eps
-        u, s, vt = np.linalg.svd(jac, full_matrices=False)
+        u, s, vt = np.linalg.svd(kernel.jacobian(y), full_matrices=False)
         projected = u.T @ (-res)
         improved = False
         for _ in range(25):
             step = vt.T @ (s / (s ** 2 + lam ** 2) * projected)
             trial = y + (step[0::2] + 1j * step[1::2])
-            trial_res, _ = _search_residual(group, herm_basis, trial)
+            trial_res = kernel.residual(trial)
             trial_norm = float(np.linalg.norm(trial_res))
             if trial_norm < norm:
                 y, res, norm = trial, trial_res, trial_norm
@@ -434,18 +471,17 @@ def _gauss_newton_state(group, herm_basis, y0, target=1e-12, max_iter=120):
 
 def _search_idempotents(group, restarts, seed, tol):
     group = hopf.with_haar(group)
-    herm = hermitian_basis(group)
+    kernel = _SearchKernel(group)
     rng = np.random.default_rng(seed)
     found = [convolution_unit(group), haar_functional(group)]
     converged = 0
     for _ in range(restarts):
         y0 = _positive_seed(group, rng)
-        y, norm, ok = _gauss_newton_state(group, herm, y0, target=1e-12)
+        y, norm, ok = _gauss_newton_state(kernel, y0, target=1e-12)
         if not ok:
             continue
         converged += 1
-        coeffs = _functional_of_element(group, y)
-        f = Functional(home=group, coeffs=coeffs)
+        f = Functional(home=group, coeffs=kernel.functional(y))
         if not is_idempotent_state(f, tol):
             continue
         found.append(f)

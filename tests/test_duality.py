@@ -236,6 +236,19 @@ def test_codual_involution(name):
         assert subspace_distance(back.gns_basis(), s.coideal.gns_basis()) < 1e-9
 
 
+def test_codual_system_matches_single_contraction():
+    rng = np.random.default_rng(5)
+    comult, legs = (rng.standard_normal((4, 4, 4))
+                    + 1j * rng.standard_normal((4, 4, 4)) for _ in range(2))
+    proj = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    lhs = np.einsum("ijk,jac,kbd->iabcd", comult, legs,
+                    np.einsum("kbd,de->kbe", legs, proj))
+    rhs = np.einsum("iac,bd->iabcd", legs, proj)
+    reference = (lhs - rhs).reshape(4, 4 ** 4).T
+    got = duality._codual_system(comult, legs, proj)
+    assert np.abs(got - reference).max() < 1e-12
+
+
 # ----------------------------------------------------------------------
 # dual states
 # ----------------------------------------------------------------------

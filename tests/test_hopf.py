@@ -245,3 +245,13 @@ def test_tensor_square_operations(c_s3):
     one = np.outer(c_s3.unit, c_s3.unit)
     assert np.allclose(c_s3.tensor_multiply(one, x), x)
     assert np.allclose(c_s3.tensor_multiply(x, one), x)
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3"])
+def test_tensor_multiply_matches_single_contraction(name):
+    g = catalog.builtin(name)
+    rng = np.random.default_rng(4)
+    x, y = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            for _ in range(2))
+    reference = np.einsum("jk,ab,jap,kbq->pq", x, y, g.mult, g.mult)
+    assert np.abs(g.tensor_multiply(x, y) - reference).max() < 1e-12

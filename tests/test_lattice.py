@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qglab import catalog, checks, coideal, harmonic, lattice
+from qglab import catalog, checks, coideal, harmonic, hopf, lattice
 from qglab.errors import InternalInconsistency, NoConvergence
 from conftest import assert_same_lattice, dihedral_table, s3_subgroup
+from test_quantum_example import build_quantum_example
 
 
 def states_by_subgroup(name):
@@ -193,6 +194,39 @@ def test_enumeration_deterministic(c_s3):
     assert len(first.states) == len(second.states)
     for a, b in zip(first.states, second.states):
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("build", [
+    build_quantum_example,
+    functools.partial(catalog.builtin, "c_s3"),
+    # a star that is not diagonal exercises the (y*)-derivative term
+    functools.partial(catalog.builtin, "cg_s3"),
+], ids=["kp", "c_s3", "cg_s3"])
+def test_search_jacobian_matches_finite_differences(build):
+    g = hopf.with_haar(build())
+    kernel = lattice._SearchKernel(g)
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+    # the kernel's functional and residual are the search's definitions
+    coeffs = np.einsum("i,ijk,k->j", g.multiply(g.adjoint(y), y), g.mult, g.haar)
+    f = harmonic.Functional(home=g, coeffs=coeffs)
+    gap = harmonic.convolve(f, f).coeffs - coeffs
+    herm = harmonic.hermitian_basis(g)
+    res = kernel.residual(y)
+    assert np.abs(kernel.functional(y) - coeffs).max() < 1e-12
+    assert np.abs(res[:-1] - (gap.real @ herm.real + gap.imag @ herm.imag)).max() < 1e-12
+    assert abs(res[-1] - ((coeffs @ g.unit).real - 1.0)) < 1e-12
+
+    eps = 1e-7
+    fd = np.empty((res.size, 2 * g.dim))
+    for a in range(g.dim):
+        for part, shift in enumerate((eps, 1j * eps)):
+            bumped = y.copy()
+            bumped[a] += shift
+            fd[:, 2 * a + part] = (kernel.residual(bumped) - res) / eps
+    jac = kernel.jacobian(y)
+    assert jac.shape == fd.shape
+    assert np.abs(jac - fd).max() <= 1e-5 * np.abs(jac).max()
 
 
 def test_catalog_strategy_requires_builtin(c_z2):

@@ -131,6 +131,29 @@ def test_search_finds_eight_idempotent_states(quantum, quantum_states):
     assert dims == [1, 2, 2, 2, 4, 4, 4, 8]
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_finds_eight_states_at_other_seeds(quantum, seed):
+    # the fixture's search runs at the default seed, 1729
+    enum = lattice.enumerate_idempotents(quantum, strategy="search", seed=seed)
+    assert len(enum.states) == 8
+
+
+def test_search_jacobian_is_closed_form(quantum, monkeypatch):
+    # a finite-difference Jacobian would take 2n + 1 = 17 residuals each;
+    # the Levenberg trials take about one residual per Jacobian
+    calls = {"residual": 0, "jacobian": 0}
+    for attr in calls:
+        real = getattr(lattice._SearchKernel, attr)
+
+        def counted(self, y, real=real, attr=attr):
+            calls[attr] += 1
+            return real(self, y)
+        monkeypatch.setattr(lattice._SearchKernel, attr, counted)
+    lattice.enumerate_idempotents(quantum, strategy="search", restarts=20)
+    assert calls["jacobian"] > 0
+    assert calls["residual"] < 3 * calls["jacobian"]
+
+
 def test_exactly_two_states_are_not_haar_type(quantum_states):
     # idempotent states that do not come from any quantum subgroup:
     # both have two-dimensional coideals and live on the function layer
