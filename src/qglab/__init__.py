@@ -20,8 +20,6 @@ from .hopf import (
 from .harmonic import (
     Functional,
     IdempotentState,
-    ZERO_STATE,
-    ZeroState,
     convolution_unit,
     convolve,
     haar_functional,

@@ -88,7 +88,7 @@ def _add_common(sub: argparse.ArgumentParser, with_file: bool = True) -> None:
     sub.add_argument("--axiom-tol", type=float, default=hopf.AXIOM_TOL,
                      help="tolerance for structural axioms")
     sub.add_argument("--seed", type=int, default=lattice.DEFAULT_SEED,
-                     help="seed for randomized searches")
+                     help="seed of --strategy search and of the suite's random probes")
     sub.add_argument("--format", choices=("json", "dot", "text"),
                      default="text", dest="fmt")
     sub.add_argument("--out", default=None, help="write output to this path")
@@ -112,22 +112,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("idempotents", help="enumerate idempotent states")
     _add_common(p)
-    p.add_argument("--strategy", choices=("auto", "catalog", "search"),
-                   default="auto")
-    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS)
+    p.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
+    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS,
+                   help="restarts of --strategy search")
 
     p = commands.add_parser("lattice", help="order, tables and Hasse diagram")
     _add_common(p)
-    p.add_argument("--strategy", choices=("auto", "catalog", "search"),
-                   default="auto")
-    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS)
+    p.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
+    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS,
+                   help="restarts of --strategy search")
 
     p = commands.add_parser("dual", help="construct the dual quantum group")
     _add_common(p)
 
     p = commands.add_parser("check", help="run the full property suite")
     _add_common(p)
-    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS)
+    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS,
+                   help="accepted and unused: the suite never searches")
 
     return parser
 
@@ -190,6 +191,8 @@ def cmd_idempotents(config: RunConfig) -> int:
         },
         "states": [_state_record(s) for s in enum.states],
     }
+    if enum.report.generated is not None:
+        doc["report"]["generated"] = enum.report.generated
     if config.fmt == "json":
         _emit(_dumps(doc), config.out)
     else:

@@ -83,8 +83,10 @@ def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
     resid = lambda vecs: float(np.max(np.abs(vecs - proj @ vecs))) if vecs.size else 0.0
 
     if k:
-        products = np.einsum("ai,abc,bj->cij", basis_alg, group.mult,
-                             basis_alg).reshape(group.dim, k * k)
+        # products[c, i, j] = (b_i b_j)[c], contracted one factor at a time
+        left = np.tensordot(basis_alg, group.mult, axes=([0], [0]))
+        products = np.tensordot(left, basis_alg, axes=([1], [0])).transpose(
+            1, 0, 2).reshape(group.dim, k * k)
         stars = group.star @ np.conj(basis_alg)
         d_sub = resid(t @ products)
         d_star = resid(t @ stars)
@@ -92,9 +94,10 @@ def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
         d_sub = d_star = 0.0
     d_unit = resid((t @ group.unit)[:, None])
     comp = eye - proj
-    seconds = np.einsum("pq,iqr,rs->ips", t, np.einsum("ai,ajk->ijk", basis_alg,
-                                                       group.comult), t.T)
-    d_coid = max((frob(seconds[i] @ comp.T) for i in range(k)), default=0.0)
+    # seconds[i] is the coproduct of b_i in L2 (x) L2 coordinates
+    seconds = t @ np.tensordot(basis_alg, group.comult, axes=([0], [0])) @ t.T
+    d_coid = float(np.max(np.linalg.norm(seconds @ comp.T, axis=(1, 2)),
+                          initial=0.0))
     return {"subalgebra": d_sub, "star": d_star, "unit": d_unit,
             "coideal": d_coid}
 

@@ -73,22 +73,6 @@ class Functional:
         return sup(self.coeffs - other.coeffs)
 
 
-class ZeroState:
-    """The formal zero adjoined to the set of idempotent states.
-
-    It is the largest element of the extended domination order and absorbs
-    the join operation.  On a finite quantum group no
-    computation ever produces it; it exists so the result types mirror the
-    extended lattice faithfully.
-    """
-
-    def __repr__(self):  # pragma: no cover
-        return "ZeroState()"
-
-
-ZERO_STATE = ZeroState()
-
-
 def require_same_home(a, b) -> None:
     ga, gb = a.home, b.home
     if ga is gb:
@@ -325,10 +309,6 @@ def preceq(mu, nu, tol: float = DEFAULT_TOL) -> bool:
     composition of expectations, reversed range containment, ordering of
     the orthogonal projections) and demands they agree.
     """
-    if isinstance(nu, ZeroState):
-        return True
-    if isinstance(mu, ZeroState):
-        return False
     fmu, emu, nmu, pmu = _order_data(mu)
     fnu, enu, nnu, pnu = _order_data(nu)
     require_same_home(fmu, fnu)

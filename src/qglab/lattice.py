@@ -5,18 +5,22 @@ reverse order: the meet of two states is carried by the subalgebra that
 their expectation ranges generate, and the join by the intersection of the
 ranges.  The paper's definition of the join, the limit of convolution
 powers of the product, is join_with_diagnostics; the property suite
-compares it with the closed form on every pair.  Enumeration either reads
-a recognized built-in's subgroup catalog or runs a multistart damped
-Gauss-Newton search.  One closure then computes the meet and the join of
-every pair once, as coideals: a result whose coideal a listed state
-already has is that state, and only a new coideal is built and verified
-as a state and appended.  The closure's tables, permuted into canonical
-order, are the lattice that enumeration returns, so nothing downstream
-recomputes an operation.
+compares it with the closed form on every pair.  Enumeration reads a
+recognized built-in's subgroup catalog, or collects generated idempotents:
+the limits of the Cesaro means of the convolution powers of spectral
+vector states, in closed form, on the group and on its dual, the dual's
+pulled back through the state duality.  A multistart damped Gauss-Newton
+search remains as an independent audit.  One closure then computes the
+meet and the join of every pair once, as coideals: a result whose coideal
+a listed state already has is that state, and only a new coideal is built
+and verified as a state and appended.  The closure's tables, permuted into
+canonical order, are the lattice that enumeration returns, so nothing
+downstream recomputes an operation.
 
-Everything here is a pure function of immutable inputs: search restarts
-are independent draws from one seeded stream and results merge by sorted
-deduplication, so the operations parallelize safely and deterministically.
+Everything here is a pure function of immutable inputs: the generated
+seeds come from one fixed stream, search restarts are independent draws
+from one seeded stream, and results merge by sorted deduplication, so the
+operations parallelize safely and deterministically.
 """
 from __future__ import annotations
 
@@ -36,8 +40,6 @@ from .harmonic import (
     DEFAULT_TOL,
     Functional,
     IdempotentState,
-    ZERO_STATE,
-    ZeroState,
     convolution_unit,
     convolve,
     haar_functional,
@@ -47,12 +49,13 @@ from .harmonic import (
     require_same_home,
     sup,
 )
-from .linalg import frob
+from .linalg import _rank, frob
 
 DEFAULT_SEED = 1729
 DEFAULT_RESTARTS = 200
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_N_MAX = 10000
+STRATEGIES = ("auto", "catalog", "generated", "search")
 
 
 # ----------------------------------------------------------------------
@@ -87,11 +90,8 @@ def join(a, b, tol: float = DEFAULT_TOL):
     Carried by the intersection of the two coideals.  Its range is that
     intersection (state_from_coideal checks the gap), which lies in both
     ranges, so it dominates both; a lattice verifies every join as the
-    least upper bound.  The formal zero absorbs the operation; a finite
-    quantum group never produces it from honest states.
+    least upper bound.
     """
-    if isinstance(a, ZeroState) or isinstance(b, ZeroState):
-        return ZERO_STATE
     require_same_home(a.functional, b.functional)
     return state_from_coideal(intersect(a.coideal, b.coideal, tol), tol)
 
@@ -324,6 +324,7 @@ class EnumerationReport:
     converged: int
     positive: int
     coverage: str
+    generated: dict | None = None   # the generated strategy's counts per side
 
 
 @dataclasses.dataclass
@@ -469,6 +470,66 @@ def _gauss_newton_state(kernel, y0, target=1e-12, max_iter=120):
     return y, norm, norm < target
 
 
+def _generated_limits(group, tol):
+    """The idempotent states generated by the spectral vector states of a group.
+
+    One self-adjoint element x, drawn from a fixed stream, gives n seeds:
+    the vector states x' -> h(y* x' y) / h(y* y) of the pull-backs y of
+    the eigenvectors of L(x) on L2.  The idempotent state a seed phi
+    generates is the limit of the Cesaro means of its convolution powers
+    (Franz and Skalski): the component of phi in ker(M - I) along
+    range(M - I), M the matrix of psi -> phi * psi.  The peripheral
+    eigenvalues of M are semisimple, so one SVD of M - I, cut at tol,
+    gives bases of the two spaces and one linear solve the component.
+    Returns the distinct limits that are idempotent states, and the seed
+    count.
+    """
+    space = hopf.gns(group)
+    n = group.dim
+    # a fixed stream: the seeds depend on nothing but the group
+    z = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, n))
+    _, vecs = np.linalg.eigh(space.represent(z + group.adjoint(z)))
+    seeds = np.einsum("ai,kai->ik", vecs.conj(), space.left_mult @ vecs)
+    u, s, vh = np.linalg.svd(np.tensordot(seeds, group.comult, axes=([1], [1]))
+                             - np.eye(n))
+    ranks = np.array([_rank(row, tol) for row in s])
+    in_range = np.arange(n)[None, :] < ranks[:, None]
+    kernel = vh.conj().transpose(0, 2, 1)
+    # columns: range(M - I) then ker(M - I); the limit is the kernel part
+    parts = np.linalg.solve(np.where(in_range[:, None, :], u, kernel),
+                            seeds[..., None])[..., 0]
+    limits = np.einsum("sij,sj->si", kernel, np.where(in_range, 0.0, parts))
+    functionals = [Functional(home=group, coeffs=c) for c in limits]
+    return _dedup([f for f in functionals if is_idempotent_state(f, tol)],
+                  tol), n
+
+
+def _generated_states(group, tol):
+    """Generated idempotents of the group and of its dual, and their counts.
+
+    The dual's limits are pulled back by dual_state on the dual's own pair,
+    whose dual group has the group's coordinates.  Returns the distinct
+    functionals of both sides (the group's first) and the report's counts
+    except the closure's.
+    """
+    ours, our_seeds = _generated_limits(group, tol)
+    dual_group = duality.dual(group, tol).dual_group
+    theirs, their_seeds = _generated_limits(dual_group, tol)
+    back = duality.dual(dual_group, tol)
+    pulled = [Functional(home=group, coeffs=duality.dual_state(
+                  as_idempotent_state(f, tol), back, tol).coeffs)
+              for f in theirs]
+
+    def only(side, other):
+        return sum(all(sup(f.coeffs - g.coeffs) >= 100 * tol for g in other)
+                   for f in side)
+
+    counts = {"seeds": {"group": our_seeds, "dual": their_seeds},
+              "limits": {"group": len(ours), "dual": len(theirs)},
+              "one_side": {"group": only(ours, pulled), "dual": only(pulled, ours)}}
+    return _dedup(ours + pulled, tol), counts
+
+
 def _search_idempotents(group, restarts, seed, tol):
     group = hopf.with_haar(group)
     kernel = _SearchKernel(group)
@@ -497,27 +558,35 @@ def enumerate_idempotents(group, strategy: str = "auto",
     The states are closed under meet and join and sorted canonically; the
     result's lattice holds the tables of that closure.
     "catalog" reads the subgroup catalog of a recognized built-in;
-    "search" runs the multistart solver; "auto" prefers the catalog.
-    Search incompleteness is reported, never raised.
+    "generated" collects the generated idempotents of both sides;
+    "search" runs the multistart solver, the only one that reads restarts
+    and seed; "auto" prefers the catalog, then "generated".
+    Incompleteness is reported, never raised.
     """
     group = hopf.with_haar(group)
     recognized = catalog.recognize(group)
-    use_catalog = strategy == "catalog" or (strategy == "auto" and recognized)
-    if strategy not in ("auto", "catalog", "search"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if use_catalog and not recognized:
+    used = strategy
+    if strategy == "auto":
+        used = "catalog" if recognized else "generated"
+    if used == "catalog" and not recognized:
         raise ValueError("catalog strategy requires a recognized built-in")
 
-    if use_catalog:
+    counts = None
+    if used == "catalog":
         functionals = catalog.catalog_functionals(group, recognized)
         converged = len(functionals)
-        used = "catalog"
+    elif used == "generated":
+        functionals, counts = _generated_states(group, tol)
+        converged = len(functionals)
     else:
         functionals, converged = _search_idempotents(group, restarts, seed, tol)
-        used = "search"
 
     states = [as_idempotent_state(f, tol, name=f.name) for f in functionals]
     states, meet_table, join_table = _close(states, tol)
+    if counts is not None:
+        counts["closure_added"] = len(states) - len(functionals)
     perm = _canonical_order(states)
     rank = np.argsort(perm)
     states = _assign_names(group, recognized, [states[p] for p in perm])
@@ -526,17 +595,19 @@ def enumerate_idempotents(group, strategy: str = "auto",
         rank[join_table[np.ix_(perm, perm)]], tol)
 
     coverage = "catalog"
-    if used == "search":
+    if used != "catalog":
         if recognized:
             expected = len(catalog.catalog_functionals(group, recognized))
             missing = expected - len(states)
             coverage = "full" if missing == 0 else f"missing {missing} of {expected}"
+        elif used == "generated":
+            coverage = "generated (G and Ĝ)"
         else:
             coverage = "best-effort (no oracle)"
     report = EnumerationReport(
         strategy=used, recognized=recognized, restarts=restarts if used == "search" else 0,
         seed=seed if used == "search" else None, converged=converged,
-        positive=len(states), coverage=coverage)
+        positive=len(states), coverage=coverage, generated=counts)
     return EnumerationResult(report=report, lattice=lat)
 
 

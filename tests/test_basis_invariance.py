@@ -5,6 +5,8 @@ matching the originals after transport.
 This guards against hidden reliance on 0/1 structure constants,
 orthonormal starting bases, or real-valued tensors.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -99,15 +101,35 @@ def test_support_postconditions_on_random_degenerate_states():
         assert abs(state(g.unit - qperp)) < 1e-9
 
 
-def test_ill_conditioned_basis_is_not_an_internal_error(tmp_path, capsys):
-    # a valid group in a basis of condition number 1e3: derived maps must
-    # not report the input's rounding as a broken theorem (exit 3)
-    rng = np.random.default_rng(0)
+def ill_conditioned_s3(kappa, unitary_seed=0):
+    """C(S3) in the basis Q diag(logspace(0, log10 kappa)), Q a fixed unitary."""
+    rng = np.random.default_rng(unitary_seed)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6))
                         + 1j * rng.standard_normal((6, 6)))
-    moved = transported(catalog.builtin("c_s3"), q @ np.diag(np.logspace(0, 3, 6)))
+    m = q @ np.diag(np.logspace(0, np.log10(kappa), 6))
+    return m, transported(catalog.builtin("c_s3"), m)
+
+
+@pytest.mark.parametrize("unitary_seed", [0, 1])
+@pytest.mark.parametrize("kappa", [10, 30, 100, 1e3])
+def test_auto_recovers_transported_catalog_when_ill_conditioned(kappa, unitary_seed):
+    m, moved = ill_conditioned_s3(kappa, unitary_seed)
+    enum = lattice.enumerate_idempotents(moved)
+    assert enum.report.strategy == "generated"
+    assert len(enum.states) == 6
+    for f in catalog.catalog_functionals(catalog.builtin("c_s3"), "c_s3"):
+        assert sum(np.abs(s.coeffs - f.coeffs @ m).max() < 1e-6
+                   for s in enum.states) == 1
+
+
+def test_ill_conditioned_basis_is_not_an_internal_error(tmp_path, capsys):
+    # a valid group in a basis of condition number 1e3: every state is
+    # enumerated, and --restarts is accepted though auto never searches
+    _, moved = ill_conditioned_s3(1e3)
     path = tmp_path / "ill.json"
     path.write_text(hopf.save(moved) + "\n")
-    code = cli.main(["idempotents", "--restarts", "10", str(path)])
-    capsys.readouterr()
-    assert code != cli.EXIT_INTERNAL
+    code = cli.main(["idempotents", "--restarts", "10", "--format", "json",
+                     str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK
+    assert len(doc["states"]) == 6

@@ -3,7 +3,7 @@ import pytest
 
 from qglab import catalog, coideal, harmonic, hopf
 from qglab.errors import NotACoideal, NotASubalgebra, NotIdempotent
-from qglab.linalg import frob, subspace_distance
+from qglab.linalg import frob, orthonormal_columns, subspace_distance
 from conftest import s3_subgroup
 
 
@@ -269,3 +269,26 @@ def test_order_criteria_through_coideal_operations(c_s3):
             porder = frob(a.l2_projection @ b.l2_projection
                           - b.l2_projection) < 1e-7
             assert conv == comp == contain == porder
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3"])
+@pytest.mark.parametrize("k", [0, 1, 4, 6])
+def test_span_defects_match_single_contractions(name, k):
+    # the defects of a random span against the einsum strings they replace
+    g = catalog.builtin(name)
+    space = hopf.gns(g)
+    rng = np.random.default_rng(k)
+    vecs = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
+    basis_gns = orthonormal_columns(space.orthonormal_basis @ vecs)
+    basis_alg = space.inverse_basis @ basis_gns
+    t, proj = space.orthonormal_basis, basis_gns @ basis_gns.conj().T
+    products = np.einsum("ai,abc,bj->cij", basis_alg, g.mult,
+                         basis_alg).reshape(6, k * k)
+    seconds = np.einsum("pq,iqr,rs->ips", t, np.einsum(
+        "ai,ajk->ijk", basis_alg, g.comult), t.T)
+    lifted = t @ products
+    d_sub = np.abs(lifted - proj @ lifted).max() if k else 0.0
+    d_coid = max((frob(s @ (np.eye(6) - proj).T) for s in seconds), default=0.0)
+    defects = coideal._span_defects(g, basis_alg, basis_gns, 1e-9)
+    assert abs(defects["subalgebra"] - d_sub) < 1e-12
+    assert abs(defects["coideal"] - d_coid) < 1e-12

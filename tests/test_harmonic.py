@@ -253,10 +253,3 @@ def test_order_criteria_never_disagree_on_catalog(name):
     for a in states:
         for b in states:
             harmonic.preceq(a, b)  # raises CriteriaDisagree on any mismatch
-
-
-def test_zero_state_extends_order(c_z2):
-    eps = coideal.as_idempotent_state(harmonic.convolution_unit(c_z2))
-    assert harmonic.preceq(eps, harmonic.ZERO_STATE)
-    assert not harmonic.preceq(harmonic.ZERO_STATE, eps)
-    assert harmonic.preceq(harmonic.ZERO_STATE, harmonic.ZERO_STATE)

@@ -137,12 +137,6 @@ def test_lattice_runs_no_convolution_loop(monkeypatch):
     assert calls == []
 
 
-def test_join_zero_absorbs(c_z2):
-    eps = coideal.as_idempotent_state(harmonic.convolution_unit(c_z2))
-    assert lattice.join(harmonic.ZERO_STATE, eps) is harmonic.ZERO_STATE
-    assert lattice.join(eps, harmonic.ZERO_STATE) is harmonic.ZERO_STATE
-
-
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------
@@ -174,6 +168,51 @@ def test_catalog_enumeration_counts(name):
     coeffs = [s.coeffs for s in enum.states]
     assert any(np.max(np.abs(c - g.counit)) < 1e-9 for c in coeffs)
     assert any(np.max(np.abs(c - g.haar)) < 1e-9 for c in coeffs)
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_generated_equals_catalog(name):
+    g = catalog.builtin(name)
+    got = lattice.enumerate_idempotents(g, strategy="generated")
+    expected = lattice.enumerate_idempotents(g, strategy="catalog")
+    assert got.report.coverage == "full"
+    assert [s.name for s in got.states] == [s.name for s in expected.states]
+    assert all(a.distance(b) < 1e-9 for a, b in zip(got.states, expected.states))
+    for table in ("order", "meet_table", "join_table"):
+        assert np.array_equal(getattr(got.lattice, table),
+                              getattr(expected.lattice, table))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 8])
+@pytest.mark.parametrize("family", ["function", "group"])
+def test_generated_finds_every_dihedral_subgroup(family, m):
+    # unrecognized input, so "auto" collects generated idempotents; C(D_m)
+    # has uniform measures on subgroups, C*(D_m) subgroup indicators
+    table = dihedral_table(m)
+    if family == "function":
+        g, state_of = hopf.function_algebra(table), catalog.uniform_measure_functional
+    else:
+        g, state_of = hopf.group_algebra(table), catalog.indicator_functional
+    enum = lattice.enumerate_idempotents(g)
+    assert enum.report.strategy == "generated"
+    assert enum.report.coverage == "generated (G and Ĝ)"
+    subs = catalog.subgroups(table)
+    assert len(enum.states) == len(subs)
+    for sub in subs:
+        expected = state_of(g, sub).coeffs
+        assert sum(np.abs(s.coeffs - expected).max() < 1e-9 for s in enum.states) == 1
+
+
+def test_generated_report_counts_each_side(cg_s3):
+    # C*(S3) is cocommutative: its own spectral seeds reach 3 of its 6
+    # states, and its dual C(S3) reaches the Haar states of the five
+    # cyclic subgroups, which pull back to the rest
+    report = lattice.enumerate_idempotents(cg_s3, strategy="generated").report
+    assert (report.strategy, report.restarts, report.seed) == ("generated", 0, None)
+    assert report.generated == {"seeds": {"group": 6, "dual": 6},
+                                "limits": {"group": 3, "dual": 5},
+                                "one_side": {"group": 1, "dual": 3},
+                                "closure_added": 0}
 
 
 def test_search_enumeration_z2(c_z2):

@@ -11,10 +11,12 @@ The construction is self-verifying: the antipode is obtained as the
 convolution inverse of the identity (a linear solve) and the axiom
 validator certifies the result before anything else runs.
 """
+import json
+
 import numpy as np
 import pytest
 
-from qglab import checks, duality, harmonic, hopf, lattice
+from qglab import checks, cli, duality, harmonic, hopf, lattice
 from conftest import assert_same_lattice
 
 KLEIN = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -136,6 +138,36 @@ def test_search_finds_eight_states_at_other_seeds(quantum, seed):
     # the fixture's search runs at the default seed, 1729
     enum = lattice.enumerate_idempotents(quantum, strategy="search", seed=seed)
     assert len(enum.states) == 8
+
+
+def test_auto_generates_the_eight_states_without_searching(quantum, quantum_states,
+                                                           monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("auto ran the search")
+    monkeypatch.setattr(lattice, "_gauss_newton_state", refuse)
+    enum = lattice.enumerate_idempotents(quantum)
+    assert enum.report.strategy == "generated"
+    assert enum.report.coverage == "generated (G and Ĝ)"
+    assert sorted(s.coideal.dim for s in enum.states) == [1, 2, 2, 2, 4, 4, 4, 8]
+    assert sum(not harmonic.haar_type_test(s) for s in enum.states) == 2
+    # the independent audit finds the same states
+    assert all(a.distance(b) < 1e-8 for a, b in zip(enum.states, quantum_states))
+
+
+def test_generated_json_does_not_depend_on_the_seed(quantum, tmp_path, capsys):
+    path = tmp_path / "kp.json"
+    path.write_text(hopf.save(quantum) + "\n")
+    outs = []
+    for seed in ("1", "1729"):
+        assert cli.main(["idempotents", "--format", "json", "--seed", seed,
+                         str(path)]) == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])["report"]
+    assert (report["strategy"], report["restarts"], report["seed"]) == (
+        "generated", 0, None)
+    assert set(report["generated"]) == {"seeds", "limits", "one_side",
+                                        "closure_added"}
 
 
 def test_search_jacobian_is_closed_form(quantum, monkeypatch):
