@@ -77,27 +77,27 @@ class Coideal:
 def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
     space = hopf.gns(group)
     t = space.orthonormal_basis
-    k = basis_alg.shape[1]
+    n, k = basis_alg.shape
     proj = basis_gns @ dagger(basis_gns)
-    eye = np.eye(group.dim)
     resid = lambda vecs: float(np.max(np.abs(vecs - proj @ vecs))) if vecs.size else 0.0
 
+    # contracted one factor at a time, as matmuls on reshaped tensors (at
+    # small n, tensordot's own overhead outweighs the contraction)
     if k:
-        # products[c, i, j] = (b_i b_j)[c], contracted one factor at a time
-        left = np.tensordot(basis_alg, group.mult, axes=([0], [0]))
-        products = np.tensordot(left, basis_alg, axes=([1], [0])).transpose(
-            1, 0, 2).reshape(group.dim, k * k)
+        left = (basis_alg.T @ group.mult.reshape(n, n * n)).reshape(k, n, n)
+        # products[c, i, j] = (b_i b_j)[c]
+        products = (left.transpose(0, 2, 1) @ basis_alg).transpose(
+            1, 0, 2).reshape(n, k * k)
         stars = group.star @ np.conj(basis_alg)
         d_sub = resid(t @ products)
         d_star = resid(t @ stars)
     else:
         d_sub = d_star = 0.0
     d_unit = resid((t @ group.unit)[:, None])
-    comp = eye - proj
     # seconds[i] is the coproduct of b_i in L2 (x) L2 coordinates
-    seconds = t @ np.tensordot(basis_alg, group.comult, axes=([0], [0])) @ t.T
-    d_coid = float(np.max(np.linalg.norm(seconds @ comp.T, axis=(1, 2)),
-                          initial=0.0))
+    seconds = t @ (basis_alg.T @ group.comult.reshape(n, n * n)).reshape(k, n, n) @ t.T
+    outside = (seconds @ (np.eye(n) - proj).T).reshape(k, n * n)
+    d_coid = float(np.max(np.linalg.norm(outside, axis=1), initial=0.0))
     return {"subalgebra": d_sub, "star": d_star, "unit": d_unit,
             "coideal": d_coid}
 
