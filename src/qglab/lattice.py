@@ -481,8 +481,7 @@ def _generated_limits(group, tol):
     range(M - I), M the matrix of psi -> phi * psi.  The peripheral
     eigenvalues of M are semisimple, so one SVD of M - I, cut at tol,
     gives bases of the two spaces and one linear solve the component.
-    Returns the distinct limits that are idempotent states, and the seed
-    count.
+    Returns the distinct limits that are idempotent states.
     """
     space = hopf.gns(group)
     n = group.dim
@@ -500,8 +499,7 @@ def _generated_limits(group, tol):
                             seeds[..., None])[..., 0]
     limits = np.einsum("sij,sj->si", kernel, np.where(in_range, 0.0, parts))
     functionals = [Functional(home=group, coeffs=c) for c in limits]
-    return _dedup([f for f in functionals if is_idempotent_state(f, tol)],
-                  tol), n
+    return _dedup([f for f in functionals if is_idempotent_state(f, tol)], tol)
 
 
 def _generated_states(group, tol):
@@ -512,9 +510,9 @@ def _generated_states(group, tol):
     functionals of both sides (the group's first) and the report's counts
     except the closure's.
     """
-    ours, our_seeds = _generated_limits(group, tol)
+    ours = _generated_limits(group, tol)
     dual_group = duality.dual(group, tol).dual_group
-    theirs, their_seeds = _generated_limits(dual_group, tol)
+    theirs = _generated_limits(dual_group, tol)
     back = duality.dual(dual_group, tol)
     pulled = [Functional(home=group, coeffs=duality.dual_state(
                   as_idempotent_state(f, tol), back, tol).coeffs)
@@ -524,7 +522,7 @@ def _generated_states(group, tol):
         return sum(all(sup(f.coeffs - g.coeffs) >= 100 * tol for g in other)
                    for f in side)
 
-    counts = {"seeds": {"group": our_seeds, "dual": their_seeds},
+    counts = {"seeds": {"group": group.dim, "dual": dual_group.dim},
               "limits": {"group": len(ours), "dual": len(theirs)},
               "one_side": {"group": only(ours, pulled), "dual": only(pulled, ours)}}
     return _dedup(ours + pulled, tol), counts
