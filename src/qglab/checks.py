@@ -322,14 +322,19 @@ def _qperp_order(c):
     return float(mismatches), ""
 
 
+def _projection_identity_defect(w: np.ndarray, p: np.ndarray) -> float:
+    """|W* (1 (x) P) W (P (x) 1) - P (x) P|_F, with P applied to W's legs."""
+    n = p.shape[0]
+    w4 = w.reshape(n, n, n, n)                      # W[r1, r2, c1, c2]
+    right = p.T @ w4                                # W (P (x) 1): P on leg c1
+    both = p @ right.reshape(n, n, n * n)           # (1 (x) P) on leg r2
+    lhs = (dagger(w) @ both.reshape(n * n, n * n)).reshape(n, n, n, n)
+    return frob(lhs - np.einsum("ac,bd->abcd", p, p))
+
+
 def _projection_identity(c):
-    worst = 0.0
-    eye, w = np.eye(c.group.dim), c.pair.regular.w
-    for s in c.states:
-        p = s.l2_projection
-        lhs = dagger(w) @ np.kron(eye, p) @ w @ np.kron(p, eye)
-        worst = max(worst, frob(lhs - np.kron(p, p)))
-    return worst, ""
+    return _largest(_projection_identity_defect(c.pair.regular.w, s.l2_projection)
+                    for s in c.states), ""
 
 
 STAGE = None   # the tolerance of a pipeline stage: it fills the context

@@ -15,6 +15,7 @@ import sys
 
 from . import catalog, checks, duality, harmonic, hopf, lattice
 from .errors import (
+    AxiomFailure,
     ConventionFailure,
     CriteriaDisagree,
     InternalInconsistency,
@@ -139,6 +140,16 @@ def _load(config: RunConfig) -> hopf.FiniteQuantumGroup:
     return hopf.load_path(config.path)
 
 
+def _load_valid(config: RunConfig) -> hopf.FiniteQuantumGroup:
+    """The input with its invariant state, once it passes every axiom."""
+    group = hopf.with_haar(_load(config))
+    report = hopf.validate(group, tol=config.axiom_tol, fail_fast=True)
+    if not report.passed:
+        raise AxiomFailure(f"not a quantum group: {report.failing()[0]} "
+                           f"fails at axiom-tol {config.axiom_tol:g}")
+    return group
+
+
 def _state_record(state) -> dict:
     return {
         "name": state.name,
@@ -234,12 +245,7 @@ def cmd_lattice(config: RunConfig) -> int:
 
 
 def cmd_dual(config: RunConfig) -> int:
-    group = hopf.with_haar(_load(config))
-    report = hopf.validate(group, tol=config.axiom_tol, fail_fast=True)
-    if not report.passed:
-        sys.stderr.write(f"error: not a quantum group: {report.failing()[0]} "
-                         f"fails at axiom-tol {config.axiom_tol:g}\n")
-        return EXIT_INPUT_ERROR
+    group = _load_valid(config)
     pair = duality.dual(group, config.state_tol)
     dual_json = hopf.save(pair.dual_group) + "\n"
     if config.out:
@@ -302,10 +308,16 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    internal = (CriteriaDisagree, InternalInconsistency, ConventionFailure)
     try:
         config = RunConfig.from_args(args)
-        return _DISPATCH[config.command](config)
-    except (CriteriaDisagree, InternalInconsistency, ConventionFailure) as exc:
+        try:
+            return _DISPATCH[config.command](config)
+        except internal:
+            # on a file that fails an axiom the fault is the input's: exit 2
+            _load_valid(config)
+            raise
+    except internal as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return EXIT_INTERNAL
     except (QuantumGroupError, OSError, ValueError) as exc:

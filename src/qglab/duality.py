@@ -4,7 +4,10 @@ The dual algebra lives on the dual vector space with convolution as
 product; the regular unitary acts on L2 (x) L2, implements the coproduct
 and intertwines the two sides.  The unitary is W(a (x) b) =
 coproduct(a)(1 (x) b), certified by its battery (unitarity, pentagon
-identity, counit and invariant-state slices).  The dual's tensors are the
+identity, counit and invariant-state slices).  The pentagon residual is a
+seeded probe estimate in n^5 work: for this W the identity is equivalent
+to coassociativity, which validation certifies exactly, so the estimate
+is a cross-check of how W is built.  The dual's tensors are the
 group's tensors transposed, so its unit, counit, antipode, (co)associativity
 and comultiplicativity laws are the group's own laws read backwards; only
 the data the dual adds (its involution and its invariant state) is checked.
@@ -54,28 +57,33 @@ def _galois_matrix(group: hopf.FiniteQuantumGroup) -> np.ndarray:
     return mat.reshape(n * n, n * n)
 
 
-def pentagon_defect(w: np.ndarray, n: int) -> float:
-    """Frobenius norm of W12 W13 W23 - W23 W12 on L2 (x) L2 (x) L2.
+def _apply_legs(w: np.ndarray, v: np.ndarray, legs: tuple[int, int]) -> np.ndarray:
+    """W acting on two legs of probes v[i1, i2, i3, probe], as one matmul."""
+    n = v.shape[0]
+    moved = np.moveaxis(v, legs, (0, 1))
+    out = (w @ moved.reshape(n * n, -1)).reshape(moved.shape)
+    return np.moveaxis(out, (0, 1), legs)
 
-    W is read as W[r1, r2, c1, c2] and both sides are contracted leg by leg,
-    one value of the first column leg at a time, so no n^3 x n^3 matrix is
-    formed: O(n^5) memory and n^8 BLAS work.
+
+def pentagon_defect(w: np.ndarray, n: int) -> float:
+    """Estimate of the Frobenius norm of W12 W13 W23 - W23 W12.
+
+    Hutchinson's estimator: for probes v with independent unit-variance
+    complex Gaussian entries, |Dv|^2 has expectation |D|_F^2, so the root
+    mean of |Dv|^2 over k probes estimates |D|_F.  Each side is applied to
+    the probes one leg pair at a time, so a probe costs n^5 work and the
+    probes take O(k n^3) memory.  The probes come from a fixed stream, so
+    the estimate is deterministic.  An estimate suffices: for this W the
+    pentagon identity is equivalent to coassociativity (Baaj-Skandalis),
+    which `hopf.validate` certifies exactly.
     """
-    w4 = w.reshape(n, n, n, n)
-    w_z = w4.transpose(1, 0, 2, 3).reshape(n, n ** 3)   # [z, (v c d)] = W[v, z, c, d]
-    w_y = w4.transpose(0, 1, 3, 2).reshape(n ** 3, n)   # [(p q d), y] = W[p, q, y, d]
-    total = 0.0
-    for a in range(n):
-        col = w4[:, :, a, :]
-        # W12 W13 W23: sum_(u, v) W[x, p, u, v] t[u, v, q, c, d],
-        # with t[u, v, q, c, d] = sum_z W[u, q, a, z] W[v, z, c, d]
-        t = (col.reshape(n * n, n) @ w_z).reshape(n, n, n, n, n)
-        t = t.transpose(0, 2, 1, 3, 4).reshape(n * n, n ** 3)
-        lhs = (w @ t).reshape(n, n, n, n, n)             # [x, p, q, c, d]
-        # W23 W12: sum_y W[p, q, y, d] W[x, y, a, c]
-        rhs = (w_y @ col.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n, n)
-        total += float(np.sum(np.abs(lhs - rhs.transpose(3, 0, 1, 4, 2)) ** 2))
-    return float(np.sqrt(total))
+    k = 8
+    rng = np.random.default_rng(0)
+    shape = (n, n, n, k)
+    v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    lhs = _apply_legs(w, _apply_legs(w, _apply_legs(w, v, (1, 2)), (0, 2)), (0, 1))
+    rhs = _apply_legs(w, _apply_legs(w, v, (0, 1)), (1, 2))
+    return float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2) / k))
 
 
 def _second_leg_fit(w: np.ndarray, space: hopf.GnsSpace) -> tuple[np.ndarray, float]:

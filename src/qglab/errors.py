@@ -13,6 +13,10 @@ class ParseError(QuantumGroupError):
     """Malformed JSON input; the message names the offending field path."""
 
 
+class AxiomFailure(QuantumGroupError):
+    """The structure tensors fail a defining axiom of a quantum group."""
+
+
 class NotAGroup(QuantumGroupError):
     """A multiplication table does not describe a finite group."""
 

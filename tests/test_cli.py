@@ -73,6 +73,20 @@ def test_dual_of_broken_file_is_input_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["idempotents", "lattice", "check"])
+def test_commands_reject_a_file_failing_an_axiom(tmp_path, capsys, command):
+    # a bumped coproduct entry breaks the counit law; the pipeline's failure
+    # on it is reported as bad input that names the axiom, not as a bug
+    doc = hopf.save_dict(catalog.builtin("c_s3"))
+    doc["comult"][1][0][1] = [1.001, 0.0]
+    path = tmp_path / "bumped.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert "counit-law fails" in err
+    assert out == ""
+
+
 def test_validate_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.json")
     assert code == 2

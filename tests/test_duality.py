@@ -8,6 +8,7 @@ from qglab import catalog, checks, coideal, duality, harmonic, hopf, lattice
 from qglab.errors import CriteriaDisagree, NoConvergence
 from qglab.linalg import dagger, frob, subspace_distance
 from conftest import dihedral_table, s3_subgroup
+from test_quantum_example import build_quantum_example
 
 ALL = list(catalog.BUILTIN_NAMES)
 
@@ -42,6 +43,29 @@ def dense_pentagon_defect(w, n):
     return frob(w12 @ w13 @ w23 - w23 @ w12)
 
 
+def reference_pentagon_defect(w, n):
+    """Reference: the exact pentagon residual, one column leg at a time.
+
+    W is read as W[r1, r2, c1, c2] and both sides are contracted leg by leg
+    for each value of the first column leg: O(n^5) memory and n^8 work.
+    """
+    w4 = w.reshape(n, n, n, n)
+    w_z = w4.transpose(1, 0, 2, 3).reshape(n, n ** 3)   # [z, (v c d)] = W[v, z, c, d]
+    w_y = w4.transpose(0, 1, 3, 2).reshape(n ** 3, n)   # [(p q d), y] = W[p, q, y, d]
+    total = 0.0
+    for a in range(n):
+        col = w4[:, :, a, :]
+        # W12 W13 W23: sum_(u, v) W[x, p, u, v] t[u, v, q, c, d],
+        # with t[u, v, q, c, d] = sum_z W[u, q, a, z] W[v, z, c, d]
+        t = (col.reshape(n * n, n) @ w_z).reshape(n, n, n, n, n)
+        t = t.transpose(0, 2, 1, 3, 4).reshape(n * n, n ** 3)
+        lhs = (w @ t).reshape(n, n, n, n, n)             # [x, p, q, c, d]
+        # W23 W12: sum_y W[p, q, y, d] W[x, y, a, c]
+        rhs = (w_y @ col.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n, n)
+        total += float(np.sum(np.abs(lhs - rhs.transpose(3, 0, 1, 4, 2)) ** 2))
+    return float(np.sqrt(total))
+
+
 def random_w(n, seed):
     """A random complex, non-unitary W, so every term of both sides counts."""
     rng = np.random.default_rng(seed)
@@ -53,7 +77,23 @@ def random_w(n, seed):
 def test_pentagon_matches_dense_reference(n):
     w = random_w(n, seed=n)
     expected = dense_pentagon_defect(w, n)
-    assert abs(duality.pentagon_defect(w, n) - expected) <= 1e-10 * expected
+    assert abs(reference_pentagon_defect(w, n) - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_pentagon_estimate_sees_a_small_perturbation(m):
+    # W of C(D_m), n = 2m, off the pentagon by a 1e-6 perturbation
+    g = hopf.function_algebra(dihedral_table(m))
+    n = g.dim
+    w = duality.regular_unitary(g).w + 1e-6 * random_w(n, seed=m)
+    expected = reference_pentagon_defect(w, n)
+    assert expected > 1e-5
+    assert abs(duality.pentagon_defect(w, n) - expected) <= 0.1 * expected
+
+
+def test_pentagon_estimate_is_deterministic():
+    w = random_w(6, seed=0)
+    assert duality.pentagon_defect(w, 6) == duality.pentagon_defect(w, 6)
 
 
 def test_pentagon_detects_bumped_entry(c_s3):
@@ -62,8 +102,9 @@ def test_pentagon_detects_bumped_entry(c_s3):
     assert duality.pentagon_defect(w, 6) > 1e-6
 
 
-def test_pentagon_memory_is_quintic():
-    # the dense n^3 x n^3 form peaks at about 260 MB for n = 12
+def test_pentagon_probe_memory():
+    # the (n, n, n, 8) probe array takes 0.2 MB at n = 12; the column loop
+    # peaked at about 19 MB and the dense n^3 x n^3 form at 260 MB
     w = random_w(12, seed=0)
     tracemalloc.start()
     try:
@@ -71,7 +112,7 @@ def test_pentagon_memory_is_quintic():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("build", [hopf.function_algebra, hopf.group_algebra])
@@ -452,6 +493,23 @@ def test_suite_catches_a_wrong_support_projection(monkeypatch):
     monkeypatch.setattr(lattice, "enumerate_idempotents", swapped)
     results = checks.run_all_checks(catalog.builtin("c_s3"))
     assert not check_result(results, "support-reconstruction").passed
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kp"])
+def test_projection_identity_by_legs_matches_kron(name):
+    # W* (1 (x) P) W (P (x) 1) = P (x) P for each support projection; also
+    # off the identity, on W perturbed so that the residual is of order one
+    g = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    n = g.dim
+    w = duality.regular_unitary(g).w
+    eye = np.eye(n)
+    for s in lattice.enumerate_idempotents(g).states:
+        p = s.l2_projection
+        for v in (w, w + 1e-1 * random_w(n, seed=n)):
+            dense = frob(dagger(v) @ np.kron(eye, p) @ v @ np.kron(p, eye)
+                         - np.kron(p, p))
+            by_legs = checks._projection_identity_defect(v, p)
+            assert abs(by_legs - dense) < 1e-12 * max(1.0, dense)
 
 
 # the keys of `qglab check`, in report order
