@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -71,7 +70,7 @@ class RunConfig:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return hopf.report_json(obj) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -153,8 +152,8 @@ def _load_valid(config: RunConfig) -> hopf.FiniteQuantumGroup:
 def _state_record(state) -> dict:
     return {
         "name": state.name,
-        "coeffs": hopf.complex_pairs(state.coeffs),
-        "q_perp": hopf.complex_pairs(state.q_perp),
+        "coeffs": state.coeffs,
+        "q_perp": state.q_perp,
         "coideal_dim": state.coideal.dim,
         "haar_type": bool(harmonic.haar_type_test(state)),
     }
@@ -247,10 +246,9 @@ def cmd_lattice(config: RunConfig) -> int:
 def cmd_dual(config: RunConfig) -> int:
     group = _load_valid(config)
     pair = duality.dual(group, config.state_tol)
-    dual_json = hopf.save(pair.dual_group) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(dual_json)
+            fh.write(hopf.save(pair.dual_group) + "\n")
     report = {
         "w_kind": pair.convention.w_kind,
         "comult_flip": pair.convention.comult_flip,
@@ -259,9 +257,9 @@ def cmd_dual(config: RunConfig) -> int:
                       sorted(pair.convention.residuals.items())},
     }
     if config.fmt == "json":
-        report["w"] = hopf.complex_pairs(pair.w)
+        report["w"] = pair.w
         if not config.out:
-            report["dual_group"] = json.loads(dual_json)
+            report["dual_group"] = hopf.group_doc(pair.dual_group)
         sys.stdout.write(_dumps(report))
     else:
         lines = [f"convention: {report['w_kind']}, "
@@ -269,7 +267,7 @@ def cmd_dual(config: RunConfig) -> int:
         for k, v in report["residuals"].items():
             lines.append(f"  {k:<24} {v:.2e}")
         if not config.out:
-            lines.append(dual_json.strip())
+            lines.append(hopf.save(pair.dual_group))
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

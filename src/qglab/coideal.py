@@ -74,6 +74,19 @@ class Coideal:
         return containment_defect(self.gns_basis(), v[:, None]) < tol
 
 
+def _products_and_stars(group, alg) -> tuple[np.ndarray, np.ndarray]:
+    """All products b_i b_j of the columns of alg, and their adjoints b_i*.
+
+    Column i*k + j of the (n, k*k) products is b_i b_j.  Contracted one
+    factor at a time, as matmuls on reshaped tensors (at small n,
+    tensordot's own overhead outweighs the contraction).
+    """
+    n, k = alg.shape
+    left = (alg.T @ group.mult.reshape(n, n * n)).reshape(k, n, n)
+    products = (left.transpose(0, 2, 1) @ alg).transpose(1, 0, 2).reshape(n, k * k)
+    return products, group.star @ np.conj(alg)
+
+
 def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
     space = hopf.gns(group)
     t = space.orthonormal_basis
@@ -81,18 +94,9 @@ def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
     proj = basis_gns @ dagger(basis_gns)
     resid = lambda vecs: float(np.max(np.abs(vecs - proj @ vecs))) if vecs.size else 0.0
 
-    # contracted one factor at a time, as matmuls on reshaped tensors (at
-    # small n, tensordot's own overhead outweighs the contraction)
-    if k:
-        left = (basis_alg.T @ group.mult.reshape(n, n * n)).reshape(k, n, n)
-        # products[c, i, j] = (b_i b_j)[c]
-        products = (left.transpose(0, 2, 1) @ basis_alg).transpose(
-            1, 0, 2).reshape(n, k * k)
-        stars = group.star @ np.conj(basis_alg)
-        d_sub = resid(t @ products)
-        d_star = resid(t @ stars)
-    else:
-        d_sub = d_star = 0.0
+    products, stars = _products_and_stars(group, basis_alg)
+    d_sub = resid(t @ products)
+    d_star = resid(t @ stars)
     d_unit = resid((t @ group.unit)[:, None])
     # seconds[i] is the coproduct of b_i in L2 (x) L2 coordinates
     seconds = t @ (basis_alg.T @ group.comult.reshape(n, n * n)).reshape(k, n, n) @ t.T
@@ -181,12 +185,8 @@ def generated_subalgebra(n1: Coideal, n2: Coideal,
     t = space.orthonormal_basis
     current = orthonormal_columns(np.column_stack([t @ n1.basis, t @ n2.basis]))
     for _ in range(group.dim + 1):
-        alg = space.inverse_basis @ current
-        k = alg.shape[1]
-        extra = [t @ group.multiply(alg[:, i], alg[:, j])
-                 for i in range(k) for j in range(k)]
-        extra += [t @ group.adjoint(alg[:, i]) for i in range(k)]
-        grown = orthonormal_columns(np.column_stack([current] + extra))
+        products, stars = _products_and_stars(group, space.inverse_basis @ current)
+        grown = orthonormal_columns(np.column_stack([current, t @ products, t @ stars]))
         if grown.shape[1] == current.shape[1]:
             break
         current = grown

@@ -468,11 +468,59 @@ def group_algebra(table, labels=None) -> FiniteQuantumGroup:
 # JSON serialization
 # ----------------------------------------------------------------------
 
+def _pair_array(arr) -> np.ndarray:
+    """Real array of shape arr.shape + (2,); negative zeros become 0.0."""
+    arr = np.asarray(arr, complex)
+    return np.stack([arr.real, arr.imag], axis=-1) + 0.0
+
+
 def complex_pairs(arr: np.ndarray):
     """Nested [re, im] lists of a complex array; negative zeros print as 0.0."""
-    if arr.ndim == 1:
-        return [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in arr]
-    return [complex_pairs(sub) for sub in arr]
+    return _pair_array(arr).tolist()
+
+
+def _pairs_json(arr: np.ndarray, level: int) -> str:
+    """The indented JSON of complex_pairs(arr), written at nesting level.
+
+    One C-encoder call renders every float; the nesting is then assembled
+    with one join pass per level, innermost first.
+    """
+    pairs = _pair_array(arr)
+    items = json.dumps(pairs.ravel().tolist())[1:-1].split(", ")
+    for depth in range(pairs.ndim - 1, -1, -1):
+        inner = "\n" + "  " * (level + depth + 1)
+        head, sep = "[" + inner, "," + inner
+        close = "\n" + "  " * (level + depth) + "]"
+        # zip over one iterator, repeated, yields consecutive groups
+        groups = zip(*[iter(items)] * pairs.shape[depth])
+        items = [head + sep.join(group) + close for group in groups]
+    return items[0]
+
+
+def report_json(obj, level: int = 0) -> str:
+    """Indented report text: json.dumps(obj, sort_keys=True, indent=2).
+
+    The bytes are those of the standard encoder, written at nesting level,
+    with every ndarray (none of them empty) written as the [re, im] pairs
+    of complex_pairs; arrays are rendered in bulk, so a report's tensors
+    cost one C-encoder call each.  Keys must be str.
+    """
+    if isinstance(obj, np.ndarray):
+        return _pairs_json(obj, level)
+    if isinstance(obj, dict):
+        items = [json.dumps(key) + ": " + report_json(obj[key], level + 1)
+                 for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [report_json(x, level + 1) for x in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + "  " * level + brackets[1])
 
 
 def _complex_at(obj, path: str) -> complex:
@@ -493,21 +541,43 @@ def _tensor_at(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
     return out
 
 
-def save_dict(group: FiniteQuantumGroup) -> dict:
+def _tensor(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
+    """A field's complex tensor from its nested [re, im] lists.
+
+    One np.array call converts a well-formed field; anything else goes to
+    the walker, which names the first bad path.
+    """
+    try:
+        pairs = np.array(obj)
+    except ValueError:  # ragged nesting
+        pairs = None
+    if (pairs is not None and pairs.shape == shape + (2,)
+            and pairs.dtype.kind in "biuf"):
+        return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    return _tensor_at(obj, shape, path)
+
+
+def group_doc(group: FiniteQuantumGroup) -> dict:
+    """The JSON document of a group, tensors kept as complex arrays."""
     doc = {
         "dim": group.dim,
-        "mult": complex_pairs(group.mult),
-        "unit": complex_pairs(group.unit),
-        "comult": complex_pairs(group.comult),
-        "counit": complex_pairs(group.counit),
-        "antipode": complex_pairs(group.antipode),
-        "star": complex_pairs(group.star),
+        "mult": group.mult,
+        "unit": group.unit,
+        "comult": group.comult,
+        "counit": group.counit,
+        "antipode": group.antipode,
+        "star": group.star,
     }
     if group.haar is not None:
-        doc["haar"] = complex_pairs(group.haar)
+        doc["haar"] = group.haar
     if group.labels is not None:
         doc["labels"] = list(group.labels)
     return doc
+
+
+def save_dict(group: FiniteQuantumGroup) -> dict:
+    return {key: complex_pairs(value) if isinstance(value, np.ndarray) else value
+            for key, value in group_doc(group).items()}
 
 
 def save(group: FiniteQuantumGroup) -> str:
@@ -530,10 +600,10 @@ def load_dict(doc: dict) -> FiniteQuantumGroup:
     for name, shape in fields.items():
         if name not in doc:
             raise ParseError(f"missing field: {name}")
-        data[name] = _tensor_at(doc[name], shape, name)
+        data[name] = _tensor(doc[name], shape, name)
     haar = None
     if "haar" in doc and doc["haar"] is not None:
-        haar = _tensor_at(doc["haar"], (n,), "haar")
+        haar = _tensor(doc["haar"], (n,), "haar")
     labels = None
     if "labels" in doc and doc["labels"] is not None:
         if not isinstance(doc["labels"], list) or len(doc["labels"]) != n:

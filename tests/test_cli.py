@@ -6,6 +6,7 @@ import pytest
 
 from qglab import catalog, cli, hopf, lattice
 from qglab.errors import CriteriaDisagree, NoConvergence
+from test_quantum_example import build_quantum_example
 
 
 def run(capsys, *argv):
@@ -262,3 +263,14 @@ def test_haar_less_file_works(tmp_path, capsys):
     assert code == 0 and "overall: pass" in out
     code, out, _ = run(capsys, "idempotents", str(path), "--format", "json")
     assert code == 0 and len(json.loads(out)["states"]) == 6
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kp"])
+@pytest.mark.parametrize("command", ["validate", "idempotents", "lattice", "dual", "check"])
+def test_json_reports_are_the_standard_indented_encoding(tmp_path, capsys, name, command):
+    group = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(hopf.save(group) + "\n")
+    code, out, _ = run(capsys, command, "--format", "json", str(path))
+    assert code == cli.EXIT_OK
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

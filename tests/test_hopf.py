@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qglab import catalog, hopf
 from qglab.errors import (
@@ -13,6 +16,7 @@ from qglab.errors import (
     NotPositive,
     ParseError,
 )
+from test_quantum_example import build_quantum_example
 
 ALL = list(catalog.BUILTIN_NAMES)
 
@@ -255,3 +259,94 @@ def test_tensor_multiply_matches_single_contraction(name):
             for _ in range(2))
     reference = np.einsum("jk,ab,jap,kbq->pq", x, y, g.mult, g.mult)
     assert np.abs(g.tensor_multiply(x, y) - reference).max() < 1e-12
+
+
+# ----------------------------------------------------------------------
+# report encoding: the standard encoder's bytes, arrays as [re, im] pairs
+# ----------------------------------------------------------------------
+
+def _listify(obj):
+    """Arrays as nested [re, im] lists, one Python float at a time."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1:
+            return [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in obj]
+        return [_listify(sub) for sub in obj]
+    if isinstance(obj, dict):
+        return {k: _listify(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_listify(v) for v in obj]
+    return obj
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, float("nan"),
+                               float("inf"), float("-inf"), 1.0, -7.0, 2.0 ** 53])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(), st.integers(-10 ** 6, 10 ** 6).map(float))
+SHAPES = array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5)
+ARRAYS = (arrays(np.complex128, SHAPES, elements=st.builds(complex, FLOATS, FLOATS))
+          | arrays(np.float64, SHAPES, elements=FLOATS))
+TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\u00e9\u2028\U0001f642 ')) | st.text()
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | TEXT
+REPORTS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(REPORTS)
+def test_report_json_is_the_standard_indented_encoding(report):
+    assert hopf.report_json(report) == json.dumps(_listify(report), sort_keys=True,
+                                                  indent=2)
+
+
+@settings(deadline=None)
+@given(ARRAYS)
+def test_complex_pairs_matches_the_elementwise_lists(arr):
+    assert json.dumps(hopf.complex_pairs(arr)) == json.dumps(_listify(arr))
+
+
+# ----------------------------------------------------------------------
+# bulk decoding agrees with the walker, which still names bad paths
+# ----------------------------------------------------------------------
+
+FIELDS = ("mult", "unit", "comult", "counit", "antipode", "star", "haar")
+
+
+@pytest.mark.parametrize("name", ALL + ["kp"])
+def test_load_dict_matches_the_walker_bit_for_bit(name):
+    group = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    doc = json.loads(hopf.save(group))
+    loaded = hopf.load_dict(doc)
+    for field in FIELDS:
+        shape = getattr(group, field).shape
+        walked = hopf._tensor_at(doc[field], shape, field)
+        assert getattr(loaded, field).tobytes() == walked.tobytes(), field
+
+
+@pytest.mark.parametrize("leaf", [
+    "1.0", [0.0], [1, 2, 3], None, {},
+    # pairs of the right shape that np.array would not read as numbers
+    ["1.0", "0.0"], [None, 0.0],
+])
+def test_load_names_the_malformed_leaf(c_s3, leaf):
+    doc = hopf.save_dict(c_s3)
+    doc["mult"][0][1][0] = leaf
+    with pytest.raises(ParseError, match=r"^mult\[0\]\[1\]\[0\]: expected \[re, im\] pair$"):
+        hopf.load_dict(doc)
+
+
+def test_load_names_a_ragged_middle_row(c_s3):
+    doc = hopf.save_dict(c_s3)
+    doc["comult"][2][3] = doc["comult"][2][3][:-1]
+    with pytest.raises(ParseError,
+                       match=r"^comult\[2\]\[3\]: expected a list of length 6$"):
+        hopf.load_dict(doc)
+
+
+def test_load_accepts_bool_leaves(c_z2):
+    doc = hopf.save_dict(c_z2)
+    doc["unit"] = [[True, False], [True, False]]
+    doc["mult"][0][0][0] = [True, 0.0]
+    loaded = hopf.load_dict(doc)
+    assert loaded.unit.tobytes() == c_z2.unit.tobytes()
+    assert loaded.mult.tobytes() == c_z2.mult.tobytes()
