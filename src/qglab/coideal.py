@@ -74,17 +74,16 @@ class Coideal:
         return containment_defect(self.gns_basis(), v[:, None]) < tol
 
 
-def _products_and_stars(group, alg) -> tuple[np.ndarray, np.ndarray]:
-    """All products b_i b_j of the columns of alg, and their adjoints b_i*.
+def _products(group, left, right) -> np.ndarray:
+    """All products l_i r_j of the columns of left and right.
 
-    Column i*k + j of the (n, k*k) products is b_i b_j.  Contracted one
-    factor at a time, as matmuls on reshaped tensors (at small n,
-    tensordot's own overhead outweighs the contraction).
+    Column i*k + j of the result, for right with k columns, is l_i r_j.
+    Contracted one factor at a time, as matmuls on reshaped tensors (at
+    small n, tensordot's own overhead outweighs the contraction).
     """
-    n, k = alg.shape
-    left = (alg.T @ group.mult.reshape(n, n * n)).reshape(k, n, n)
-    products = (left.transpose(0, 2, 1) @ alg).transpose(1, 0, 2).reshape(n, k * k)
-    return products, group.star @ np.conj(alg)
+    n, k = left.shape
+    partial = (left.T @ group.mult.reshape(n, n * n)).reshape(k, n, n)
+    return (partial.transpose(0, 2, 1) @ right).transpose(1, 0, 2).reshape(n, -1)
 
 
 def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
@@ -94,9 +93,8 @@ def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
     proj = basis_gns @ dagger(basis_gns)
     resid = lambda vecs: float(np.max(np.abs(vecs - proj @ vecs))) if vecs.size else 0.0
 
-    products, stars = _products_and_stars(group, basis_alg)
-    d_sub = resid(t @ products)
-    d_star = resid(t @ stars)
+    d_sub = resid(t @ _products(group, basis_alg, basis_alg))
+    d_star = resid(t @ (group.star @ np.conj(basis_alg)))
     d_unit = resid((t @ group.unit)[:, None])
     # seconds[i] is the coproduct of b_i in L2 (x) L2 coordinates
     seconds = t @ (basis_alg.T @ group.comult.reshape(n, n * n)).reshape(k, n, n) @ t.T
@@ -133,16 +131,23 @@ def choi_min_eig(group, e_mat) -> float:
 
     The matrix pairs the invariant state against compressions of the map
     applied to products of basis elements; the map is completely positive
-    exactly when it is positive semidefinite.
+    exactly when it is positive semidefinite.  Contracted pairwise.
     """
     group = hopf.with_haar(group)
-    sm = hopf.star_mult_tensor(group)
+    sm = hopf.star_mult_tensor(group)             # sm[i, b, c]: (e_i)* e_b
     n = group.dim
-    mapped = np.einsum("ab,jkb->jka", e_mat, sm)
-    t1 = np.einsum("ai,jkb,abc->ijkc", group.star, mapped, group.mult)
-    t2 = np.einsum("ijkc,cld,d->ijkl", t1, group.mult, group.haar)
+    mapped = sm @ e_mat.T                         # the map on each (e_j)* e_k
+    paired = sm @ (group.mult @ group.haar)       # h((e_i)* e_b e_l)
+    t2 = (mapped.reshape(n * n, n) @ paired).reshape(n, n, n, n)
     choi = t2.transpose(0, 1, 3, 2).reshape(n * n, n * n)
     return min_eigval(choi)
+
+
+def _bimodularity_defect(group, basis_alg, e_mat) -> float:
+    """|E(x z y) - x E(z) y|_F over x, y in the range and z a basis element."""
+    xzy = _products(group, _products(group, basis_alg, np.eye(group.dim)), basis_alg)
+    x_ez_y = _products(group, _products(group, basis_alg, e_mat), basis_alg)
+    return frob(e_mat @ xzy - x_ez_y)
 
 
 def expectation(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -159,46 +164,44 @@ def expectation(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
     e = state.conditional_expectation
     if choi_min_eig(group, e) < -100 * tol:
         raise InternalInconsistency("expectation is not completely positive")
-    basis_alg = state.coideal.basis
-    # bimodularity over the range: E(x z y) = x E(z) y for x, y in the range
-    xz = np.einsum("ai,abc->ibc", basis_alg, group.mult)
-    xzy = np.einsum("ibc,cde,dj->ibje", xz, group.mult, basis_alg)
-    lhs = np.einsum("fe,ibje->ibjf", e, xzy)
-    x_ez = np.einsum("ai,acq,cb->ibq", basis_alg, group.mult, e)
-    rhs = np.einsum("ibq,qde,dj->ibje", x_ez, group.mult, basis_alg)
-    worst = frob(lhs - rhs)
+    worst = _bimodularity_defect(group, state.coideal.basis, e)
     if worst > 100 * tol:
         raise InternalInconsistency(f"expectation is not bimodular ({worst:.2e})")
     return e
 
 
-def generated_subalgebra(n1: Coideal, n2: Coideal,
-                         tol: float = DEFAULT_TOL) -> Coideal:
-    """Smallest *-subalgebra containing both spans.
-
-    Alternates span closure under multiplication and the involution until
-    the dimension stabilizes; the ambient dimension caps the loop.
+def combined_gns_basis(n1: Coideal, n2: Coideal, generate: bool) -> np.ndarray:
+    """GNS-orthonormal basis of the *-subalgebra two coideals generate, or
+    of their intersection.  Generation alternates span closure under
+    multiplication and the involution until the dimension stabilizes.
     """
     require_same_home_coideals(n1, n2)
+    if not generate:
+        return subspace_intersection(n1.gns_basis(), n2.gns_basis())
     group = n1.home
     space = hopf.gns(group)
     t = space.orthonormal_basis
     current = orthonormal_columns(np.column_stack([t @ n1.basis, t @ n2.basis]))
     for _ in range(group.dim + 1):
-        products, stars = _products_and_stars(group, space.inverse_basis @ current)
-        grown = orthonormal_columns(np.column_stack([current, t @ products, t @ stars]))
+        alg = space.inverse_basis @ current
+        grown = orthonormal_columns(np.column_stack(
+            [current, t @ _products(group, alg, alg), t @ (group.star @ np.conj(alg))]))
         if grown.shape[1] == current.shape[1]:
             break
         current = grown
-    return coideal_from_span(group, space.inverse_basis @ current, tol)
+    return current
+
+
+def generated_subalgebra(n1: Coideal, n2: Coideal, tol: float = DEFAULT_TOL) -> Coideal:
+    """Smallest *-subalgebra containing both spans, certified."""
+    return coideal_from_span(n1.home, hopf.gns(n1.home).inverse_basis
+                             @ combined_gns_basis(n1, n2, True), tol)
 
 
 def intersect(n1: Coideal, n2: Coideal, tol: float = DEFAULT_TOL) -> Coideal:
     """Subspace intersection, recertified."""
-    require_same_home_coideals(n1, n2)
-    space = hopf.gns(n1.home)
-    meet_gns = subspace_intersection(n1.gns_basis(), n2.gns_basis())
-    return coideal_from_span(n1.home, space.inverse_basis @ meet_gns, tol)
+    return coideal_from_span(n1.home, hopf.gns(n1.home).inverse_basis
+                             @ combined_gns_basis(n1, n2, False), tol)
 
 
 def require_same_home_coideals(n1: Coideal, n2: Coideal) -> None:

@@ -262,35 +262,33 @@ def dual(group: hopf.FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> DualPair:
 # ----------------------------------------------------------------------
 
 def _codual_system(comult: np.ndarray, legs: np.ndarray,
-                   proj: np.ndarray) -> np.ndarray:
-    """The (n**4, n) matrix of the co-dual membership equation.
+                   basis: np.ndarray) -> np.ndarray:
+    """The (n**3 * r, n) matrix of the co-dual membership equation.
 
-    Column i is (sum_jk comult[i, j, k] legs[j] (x) legs[k] P) - legs[i] (x) P,
-    with rows indexed by (a, b, c, d); the first term is contracted one leg
-    at a time, in place of one n**7 loop.
+    Column i is (sum_jk comult[i, j, k] legs[j] (x) legs[k] B) - legs[i] (x) B
+    for an n x r matrix B, with rows indexed by (a, b, c, d); the first term
+    is contracted one leg at a time, in place of one n**7 loop.
     """
     n = comult.shape[0]
-    legs_proj = np.einsum("kbd,de->kbe", legs, proj)
     lhs = np.tensordot(np.tensordot(comult, legs, axes=([1], [0])),
-                       legs_proj, axes=([1], [0])).transpose(0, 1, 3, 2, 4)
-    rhs = np.einsum("iac,bd->iabcd", legs, proj)
-    return (lhs - rhs).reshape(n, n ** 4).T
+                       legs @ basis, axes=([1], [0])).transpose(0, 1, 3, 2, 4)
+    rhs = np.einsum("iac,bd->iabcd", legs, basis)
+    return (lhs - rhs).reshape(n, -1).T
 
 
 def _codual_primal(coid: Coideal, pair: DualPair, tol: float) -> Coideal:
-    """Solve the dual-side membership equation against the range projection.
+    """Solve the dual-side membership equation against the coideal's L2 basis.
 
     The co-dual of a coideal N is the set of dual elements y with
-    (coproduct of y)(1 (x) P) = y (x) P, where P projects L2 onto N; the
-    equation is represented through the dual's image on L2 (x) L2 and
-    solved as a linear system.  A commutant of the one-sided multiplication
-    image of N lands on the modular-conjugate copy instead, which is a
-    coideal for the opposite coproduct; this form is convention-stable.
+    (coproduct of y)(1 (x) P) = y (x) P, where P = BB* projects L2 onto N
+    and B is N's orthonormal L2 basis; |X(1 (x) P)| = |X(1 (x) B)|, so the
+    system on B (n**3 r rows, not n**4) has the same kernel.  A commutant
+    of the one-sided multiplication image of N lands on the modular-conjugate
+    copy instead, which is a coideal for the opposite coproduct; this form
+    is convention-stable.
     """
     dual_group = pair.dual_group
-    system = _codual_system(dual_group.comult, pair.lambda_rep,
-                            coid.l2_projector())
-    kernel = nullspace(system)
+    kernel = nullspace(_codual_system(dual_group.comult, pair.lambda_rep, coid.gns_basis()))
     out = coideal_from_span(dual_group, kernel, tol)
     if not out.is_coideal:
         raise InternalInconsistency(

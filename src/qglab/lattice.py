@@ -11,7 +11,7 @@ the limits of the Cesaro means of the convolution powers of spectral
 vector states, in closed form, on the group and on its dual, the dual's
 pulled back through the state duality.  A multistart damped Gauss-Newton
 search remains as an independent audit.  One closure then computes the
-meet and the join of every pair once, as coideals: a result whose coideal
+meet and the join of every pair once, as GNS bases: a result whose coideal
 a listed state already has is that state, and only a new coideal is built
 and verified as a state and appended.  The closure's tables, permuted into
 canonical order, are the lattice that enumeration returns, so nothing
@@ -31,6 +31,8 @@ import numpy as np
 from . import catalog, duality, hopf
 from .coideal import (
     as_idempotent_state,
+    coideal_from_span,
+    combined_gns_basis,
     generated_subalgebra,
     intersect,
     state_from_coideal,
@@ -49,7 +51,7 @@ from .harmonic import (
     require_same_home,
     sup,
 )
-from .linalg import _rank, frob
+from .linalg import _rank, dagger, frob
 
 DEFAULT_SEED = 1729
 DEFAULT_RESTARTS = 200
@@ -192,21 +194,23 @@ def _close(states, tol):
 
     Pairs are taken in rounds: each round computes the pairs that involve a
     state appended in the previous round.  A meet is the subalgebra the two
-    coideals generate and a join their intersection.  A result within the
-    gap bound of state_from_coideal (100 * tol between L2 projections) of a
-    listed state's coideal is that state; only a new coideal is built into
-    a state and appended.  Returns the grown list (input states first) and
-    the meet and join tables indexing it.
+    coideals generate and a join their intersection, each a GNS basis.  A
+    result within the gap bound of state_from_coideal (100 * tol between L2
+    projections) of a listed state's coideal is that state; only a new
+    coideal is certified, built into a state and appended.  Returns the
+    grown list (input states first) and the meet and join tables indexing it.
     """
     states = list(states)
     meets, joins = {}, {}
 
-    def index_of(coid):
-        proj = coid.l2_projector()
+    def index_of(basis):
+        proj = basis @ dagger(basis)
         for idx, s in enumerate(states):
-            if (s.coideal.dim == coid.dim
+            if (s.coideal.dim == basis.shape[1]
                     and frob(s.l2_projection - proj) <= 100 * tol):
                 return idx
+        group = states[0].home
+        coid = coideal_from_span(group, hopf.gns(group).inverse_basis @ basis, tol)
         states.append(state_from_coideal(coid, tol))
         return len(states) - 1
 
@@ -216,8 +220,8 @@ def _close(states, tol):
         for i in range(size):
             for j in range(max(i, done), size):
                 a, b = states[i].coideal, states[j].coideal
-                meets[i, j] = index_of(generated_subalgebra(a, b, tol))
-                joins[i, j] = index_of(intersect(a, b, tol))
+                meets[i, j] = index_of(combined_gns_basis(a, b, True))
+                joins[i, j] = index_of(combined_gns_basis(a, b, False))
         done = size
         if len(states) > states[0].home.dim ** 2 + 4:
             raise InternalInconsistency("closure under meet/join is not stabilizing")
@@ -307,8 +311,6 @@ def to_dot(lat: IdempotentLattice) -> str:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qglab import catalog, coideal, harmonic, hopf
-from qglab.errors import NotACoideal, NotASubalgebra, NotIdempotent
+from qglab import catalog, coideal, harmonic, hopf, lattice, linalg
+from qglab.errors import InternalInconsistency, NotACoideal, NotASubalgebra, NotIdempotent
 from qglab.linalg import frob, orthonormal_columns, subspace_distance
 from conftest import s3_subgroup
+from test_quantum_example import build_quantum_example
 
 
 def coset_algebra(group, table, subgroup):
@@ -292,3 +295,55 @@ def test_span_defects_match_single_contractions(name, k):
     defects = coideal._span_defects(g, basis_alg, basis_gns, 1e-9)
     assert abs(defects["subalgebra"] - d_sub) < 1e-12
     assert abs(defects["coideal"] - d_coid) < 1e-12
+
+
+def reference_choi(group, e_mat):
+    # the three unpathed einsums that choi_min_eig contracted before
+    group = hopf.with_haar(group)
+    sm = hopf.star_mult_tensor(group)
+    n = group.dim
+    mapped = np.einsum("ab,jkb->jka", e_mat, sm)
+    t1 = np.einsum("ai,jkb,abc->ijkc", group.star, mapped, group.mult)
+    t2 = np.einsum("ijkc,cld,d->ijkl", t1, group.mult, group.haar)
+    return t2.transpose(0, 1, 3, 2).reshape(n * n, n * n)
+
+
+def reference_bimodularity(group, basis_alg, e):
+    # the five unpathed einsums of the bimodularity certificate before
+    xz = np.einsum("ai,abc->ibc", basis_alg, group.mult)
+    xzy = np.einsum("ibc,cde,dj->ibje", xz, group.mult, basis_alg)
+    lhs = np.einsum("fe,ibje->ibjf", e, xzy)
+    x_ez = np.einsum("ai,acq,cb->ibq", basis_alg, group.mult, e)
+    rhs = np.einsum("ibq,qde,dj->ibje", x_ez, group.mult, basis_alg)
+    return frob(lhs - rhs)
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kp"])
+def test_pairwise_map_certificates_match_the_einsums(name, monkeypatch):
+    # on each state's expectation, where both certificates hold, and on a
+    # random map, where neither does and the residuals are of order one
+    group = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    n = group.dim
+    rng = np.random.default_rng(n)
+    held = []
+    monkeypatch.setattr(coideal, "min_eigval",
+                        lambda m: held.append(m) or linalg.min_eigval(m))
+    for s in lattice.enumerate_idempotents(group).states:
+        random_map = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for e in (s.conditional_expectation, random_map):
+            coideal.choi_min_eig(group, e)
+            reference = reference_choi(group, e)
+            assert frob(held.pop() - reference) < 1e-12 * max(1.0, frob(reference))
+            bimodular = reference_bimodularity(group, s.coideal.basis, e)
+            pairwise = coideal._bimodularity_defect(group, s.coideal.basis, e)
+            assert abs(pairwise - bimodular) < 1e-12 * max(1.0, bimodular)
+
+
+def test_expectation_rejects_a_map_that_is_not_completely_positive(c_s3):
+    # the negated expectation is still bimodular, but its Choi matrix is
+    # the negative of a nonzero positive one
+    state = coideal.as_idempotent_state(catalog.catalog_functionals(c_s3, "c_s3")[1])
+    negated = dataclasses.replace(
+        state, conditional_expectation=-state.conditional_expectation)
+    with pytest.raises(InternalInconsistency, match="not completely positive"):
+        coideal.expectation(negated)

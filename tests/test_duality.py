@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from qglab import catalog, checks, coideal, duality, harmonic, hopf, lattice
 from qglab.errors import CriteriaDisagree, NoConvergence
-from qglab.linalg import dagger, frob, subspace_distance
+from qglab.linalg import dagger, frob, nullspace, subspace_distance
 from conftest import dihedral_table, s3_subgroup
 from test_quantum_example import build_quantum_example
 
@@ -290,6 +291,26 @@ def test_codual_system_matches_single_contraction():
     assert np.abs(got - reference).max() < 1e-12
 
 
+@pytest.mark.parametrize("name", ["c_s3", "kp"])
+def test_codual_system_on_the_basis_matches_the_projection(name):
+    # X(1 (x) BB*) and X(1 (x) B) have the same Gram matrix, so the system
+    # on the coideal's L2 basis has the singular values and kernel of the
+    # system on its projection, with n**3 r rows in place of n**4
+    g = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    pair = duality.dual(g)
+    n = g.dim
+    for s in lattice.enumerate_idempotents(g).states:
+        basis = s.coideal.gns_basis()
+        systems = [duality._codual_system(pair.dual_group.comult, pair.lambda_rep, m)
+                   for m in (basis @ dagger(basis), basis)]
+        assert systems[1].shape == (n ** 3 * s.coideal.dim, n)
+        by_p, by_b = (np.linalg.svd(m, compute_uv=False) for m in systems)
+        assert np.abs(by_p - by_b).max() < 1e-12
+        kernels = [nullspace(m) for m in systems]
+        assert kernels[0].shape == kernels[1].shape
+        assert subspace_distance(*kernels) < 1e-12
+
+
 # ----------------------------------------------------------------------
 # dual states
 # ----------------------------------------------------------------------
@@ -419,12 +440,15 @@ def test_property_suite_call_counts(monkeypatch):
     # Each pair's convolution-power limit is built once, in join-two-paths,
     # and checked there against the verified closed-form join in the table,
     # whose L2 projection is held, so no pair's intersection is rebuilt.
-    # The lattice closure matches meets and joins by coideal and builds a
-    # state only for a coideal that no listed state has
+    # The enumeration's closure is the only one: it forms meets and joins
+    # as GNS bases and certifies a coideal only when no listed state has
+    # it; duality-exchange reads the primal tables swapped, and the order
+    # check reads coideal containment off the held bases
     calls = {"validate": 0, "join": 0, "dual_state": 0,
              "is_idempotent_state": 0, "preceq": 0, "expectation": 0,
              "choi_min_eig": 0, "state_defects": 0, "_codual_primal": 0,
-             "intersect": 0, "state_from_coideal": 0}
+             "intersect": 0, "state_from_coideal": 0, "coideal_from_span": 0,
+             "_close": 0, "build_lattice": 0}
 
     def counted(module, attr, key):
         real = getattr(module, attr)
@@ -438,24 +462,27 @@ def test_property_suite_call_counts(monkeypatch):
     counted(lattice, "join_with_diagnostics", "join")
     counted(duality, "dual_state", "dual_state")
     counted(coideal, "expectation", "expectation")
+    counted(lattice, "_close", "_close")
+    counted(lattice, "build_lattice", "build_lattice")
     for module in (harmonic, coideal, lattice, duality, checks):
         for attr in ("is_idempotent_state", "preceq", "choi_min_eig",
                      "state_defects", "_codual_primal", "intersect",
-                     "state_from_coideal"):
+                     "state_from_coideal", "coideal_from_span"):
             if hasattr(module, attr):
                 counted(module, attr, attr)
     duality.regular_unitary.cache_clear()
     duality.dual.cache_clear()
     checks.run_all_checks(catalog.builtin("c_s3"))
-    assert {k: calls[k] for k in ("validate", "join", "dual_state")} == {
-        "validate": 1, "join": 21, "dual_state": 12}
+    assert {k: calls[k] for k in ("validate", "join", "dual_state", "intersect",
+                                  "_close", "build_lattice", "coideal_from_span")} == {
+        "validate": 1, "join": 21, "dual_state": 12, "intersect": 0,
+        "_close": 1, "build_lattice": 0, "coideal_from_span": 48}
     assert calls["is_idempotent_state"] <= 30
     assert calls["preceq"] <= 72
     assert calls["expectation"] <= 6
     assert calls["choi_min_eig"] <= 6
     assert calls["state_defects"] <= 30
     assert calls["_codual_primal"] <= 12
-    assert calls["intersect"] <= 78
     assert calls["state_from_coideal"] <= 12
 
 
@@ -493,6 +520,25 @@ def test_suite_catches_a_wrong_support_projection(monkeypatch):
     monkeypatch.setattr(lattice, "enumerate_idempotents", swapped)
     results = checks.run_all_checks(catalog.builtin("c_s3"))
     assert not check_result(results, "support-reconstruction").passed
+
+
+def test_suite_catches_swapped_dual_states(monkeypatch):
+    # duality-exchange reads the primal tables swapped as the dual states'
+    # tables; with two dual states out of place they are no longer extremal
+    # bounds in the dual order, so the check cannot pass vacuously
+    real = checks.CheckContext.dual_states.func
+
+    def swapped(context):
+        duals = real(context)
+        duals[0], duals[-1] = duals[-1], duals[0]
+        return duals
+    prop = functools.cached_property(swapped)
+    prop.__set_name__(checks.CheckContext, "dual_states")
+    monkeypatch.setattr(checks.CheckContext, "dual_states", prop)
+    results = checks.run_all_checks(catalog.builtin("c_s3"))
+    exchange = check_result(results, "duality-exchange")
+    assert not exchange.passed and exchange.residual == float("inf")
+    assert check_result(results, "lattice-order-and-tables").passed
 
 
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kp"])
