@@ -53,8 +53,9 @@ class RegularUnitary:
 def _galois_matrix(group: hopf.FiniteQuantumGroup) -> np.ndarray:
     """Algebra-coordinate matrix of a (x) b -> coproduct(a) (1 (x) b)."""
     n = group.dim
-    mat = np.einsum("ipq,qjr->prij", group.comult, group.mult)
-    return mat.reshape(n * n, n * n)
+    # one matmul, rows (i, p) and columns (j, r), then to rows (p, r)
+    mat = group.comult.reshape(n * n, n) @ group.mult.reshape(n, n * n)
+    return mat.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
 
 
 def _apply_legs(w: np.ndarray, v: np.ndarray, legs: tuple[int, int]) -> np.ndarray:

@@ -207,13 +207,20 @@ def axiom_table(group: FiniteQuantumGroup) -> list[tuple[str, Callable[[], float
         lam_min = float(np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)[0])
         return max(herm, -min(lam_min, 0.0))
 
+    # each contraction below is a matmul on reshaped tensors
+    m_rows, m_cols = m.reshape(n * n, n), m.reshape(n, n * n)
+    d_rows, d_cols = d.reshape(n * n, n), d.reshape(n, n * n)
+    m_swap = m.transpose(1, 0, 2).reshape(n, n * n)   # [j, (i, k)]
+    d_swap = d.transpose(0, 2, 1).reshape(n * n, n)   # [(i, k), j]
+    quad = lambda x: x.reshape(n, n, n, n)
+
     def comult_multiplicative():
-        # Delta(a)Delta(b) as two n^5 contractions and one n^6 matmul,
-        # not one n^8 loop over all four structure tensors
-        x = np.einsum("iab,acp->icpb", d, m)
-        y = np.einsum("jce,beq->jcbq", d, m)
-        rhs = np.tensordot(x, y, axes=([1, 3], [1, 2])).transpose(0, 2, 1, 3)
-        return frob(np.einsum("ijk,kab->ijab", m, d) - rhs)
+        # Delta(e_i)Delta(e_j) = sum d[i,a,b] d[j,c,e] (e_a e_c) (x) (e_b e_e):
+        # x[i,b,c,p] and y[j,c,b,q] as n^5 matmuls, then one n^6 over (b, c)
+        x, y = quad(d_swap @ m_cols), quad(d_rows @ m_swap)
+        rhs = (x.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+               @ y.transpose(2, 1, 0, 3).reshape(n * n, n * n))
+        return frob(quad(m_rows @ d_cols) - quad(rhs).transpose(0, 2, 1, 3))
 
     table = [
         ("unit-law", lambda: max(frob(np.einsum("i,ijk->jk", u, m) - eye),
@@ -236,20 +243,19 @@ def axiom_table(group: FiniteQuantumGroup) -> list[tuple[str, Callable[[], float
         ("kac-antipode-involutive", lambda: frob(s @ s - eye)),
         ("kac-antipode-star", lambda: frob(s @ sig - sig @ np.conj(s))),
         ("antipode-axiom", lambda: max(
-            frob(np.einsum("ijk,aj,akq->iq", d, s, m) - np.outer(eps, u)),
-            frob(np.einsum("ijk,ak,jaq->iq", d, s, m) - np.outer(eps, u)))),
-        ("associativity", lambda: frob(np.einsum("ijp,pkq->ijkq", m, m)
-                                       - np.einsum("jkp,ipq->ijkq", m, m))),
+            frob((s @ d).reshape(n, n * n) @ m_rows - np.outer(eps, u)),
+            frob((d @ s.T).reshape(n, n * n) @ m_rows - np.outer(eps, u)))),
+        ("associativity", lambda: frob(quad(m_rows @ m_cols) - quad(
+            m_rows @ m_swap).transpose(2, 0, 1, 3))),
         ("star-antimultiplicative",
-         lambda: frob(np.einsum("ijk,ak->ija", np.conj(m), sig)
-                      - np.einsum("pj,qi,pqa->ija", sig, sig, m))),
-        ("coassociativity", lambda: frob(np.einsum("ipr,pab->iabr", d, d)
-                                         - np.einsum("iap,pbr->iabr", d, d))),
+         lambda: frob((np.conj(m_rows) @ sig.T).reshape(n, n, n)
+                      - sig.T @ (sig.T @ m_swap).reshape(n, n, n))),
+        ("coassociativity", lambda: frob(quad(d_swap @ d_cols).transpose(
+            0, 2, 3, 1) - quad(d_rows @ d_cols))),
         ("comult-unital",
          lambda: frob(np.einsum("i,ijk->jk", u, d) - np.outer(u, u))),
-        ("comult-star", lambda: frob(np.einsum("ai,ajk->ijk", sig, d)
-                                     - np.einsum("ijk,pj,qk->ipq",
-                                                 np.conj(d), sig, sig))),
+        ("comult-star", lambda: frob((sig.T @ d_cols).reshape(n, n, n)
+                                     - sig @ np.conj(d) @ sig.T)),
         ("comult-multiplicative", comult_multiplicative),
     ]
     if psi is not None:
@@ -527,7 +533,10 @@ def _complex_at(obj, path: str) -> complex:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
             or not all(isinstance(x, (int, float)) for x in obj)):
         raise ParseError(f"{path}: expected [re, im] pair")
-    return complex(float(obj[0]), float(obj[1]))
+    try:
+        return complex(float(obj[0]), float(obj[1]))
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(f"{path}: entry is not finite") from None
 
 
 def _tensor_at(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
@@ -545,7 +554,8 @@ def _tensor(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
     """A field's complex tensor from its nested [re, im] lists.
 
     One np.array call converts a well-formed field; anything else goes to
-    the walker, which names the first bad path.
+    the walker, which names the first bad path.  A NaN or infinite entry
+    is bad input too, named by its index.
     """
     try:
         pairs = np.array(obj)
@@ -553,8 +563,14 @@ def _tensor(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
         pairs = None
     if (pairs is not None and pairs.shape == shape + (2,)
             and pairs.dtype.kind in "biuf"):
-        return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-    return _tensor_at(obj, shape, path)
+        out = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    else:
+        out = _tensor_at(obj, shape, path)
+    if not np.isfinite(out).all():
+        first = np.argwhere(~np.isfinite(out))[0]
+        index = "".join(f"[{i}]" for i in first)
+        raise ParseError(f"{path}{index}: entry {out[tuple(first)]} is not finite")
+    return out
 
 
 def group_doc(group: FiniteQuantumGroup) -> dict:

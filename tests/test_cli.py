@@ -88,6 +88,29 @@ def test_commands_reject_a_file_failing_an_axiom(tmp_path, capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("field, index", [
+    ("mult", (1, 0, 1)), ("comult", (1, 0, 1)), ("antipode", (2, 1)),
+    ("haar", (3,)),
+])
+def test_commands_reject_non_finite_entry(tmp_path, capsys, command, value,
+                                           field, index):
+    # json reads the NaN and Infinity tokens; the load names the entry
+    doc = hopf.save_dict(catalog.builtin("c_s3"))
+    entry = doc[field]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = ["__leaf__", 0.0]
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc).replace('"__leaf__"', value))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    where = field + "".join(f"[{i}]" for i in index)
+    assert f"error: {where}: entry" in err and "is not finite" in err
+    assert out == ""
+
+
 def test_validate_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.json")
     assert code == 2

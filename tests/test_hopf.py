@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from qglab import catalog, hopf
+from qglab import catalog, duality, hopf
 from qglab.errors import (
     DimensionMismatch,
     NoHaarState,
@@ -16,6 +17,7 @@ from qglab.errors import (
     NotPositive,
     ParseError,
 )
+from conftest import dihedral_table
 from test_quantum_example import build_quantum_example
 
 ALL = list(catalog.BUILTIN_NAMES)
@@ -61,11 +63,97 @@ def test_comult_multiplicative_matches_single_contraction(c_z3):
         assert abs(got - expected) <= 1e-12 * expected
 
 
-def test_perturbed_comult_fails_multiplicativity(c_s3):
-    comult = c_s3.comult.copy()
-    comult[1, 2, 3] += 1e-6
-    broken = dataclasses.replace(c_s3, comult=comult)
-    assert "comult-multiplicative" in hopf.validate(broken).failing()
+def comult_multiplicative_oracle(g):
+    # the pairwise einsums, not the n^8 single contraction tested above
+    x = np.einsum("iab,acp->icpb", g.comult, g.mult)
+    y = np.einsum("jce,beq->jcbq", g.comult, g.mult)
+    rhs = np.tensordot(x, y, axes=([1, 3], [1, 2])).transpose(0, 2, 1, 3)
+    return np.linalg.norm(np.einsum("ijk,kab->ijab", g.mult, g.comult) - rhs)
+
+
+# the einsum strings that the axiom table's contractions replaced
+AXIOM_ORACLES = {
+    "comult-multiplicative": comult_multiplicative_oracle,
+    "antipode-axiom": lambda g: max(
+        np.linalg.norm(np.einsum("ijk,aj,akq->iq", g.comult, g.antipode, g.mult)
+                       - np.outer(g.counit, g.unit)),
+        np.linalg.norm(np.einsum("ijk,ak,jaq->iq", g.comult, g.antipode, g.mult)
+                       - np.outer(g.counit, g.unit))),
+    "associativity": lambda g: np.linalg.norm(
+        np.einsum("ijp,pkq->ijkq", g.mult, g.mult)
+        - np.einsum("jkp,ipq->ijkq", g.mult, g.mult)),
+    "star-antimultiplicative": lambda g: np.linalg.norm(
+        np.einsum("ijk,ak->ija", np.conj(g.mult), g.star)
+        - np.einsum("pj,qi,pqa->ija", g.star, g.star, g.mult)),
+    "coassociativity": lambda g: np.linalg.norm(
+        np.einsum("ipr,pab->iabr", g.comult, g.comult)
+        - np.einsum("iap,pbr->iabr", g.comult, g.comult)),
+    "comult-star": lambda g: np.linalg.norm(
+        np.einsum("ai,ajk->ijk", g.star, g.comult)
+        - np.einsum("ijk,pj,qk->ipq", np.conj(g.comult), g.star, g.star)),
+}
+
+
+def galois_oracle(g):
+    n = g.dim
+    return np.einsum("ipq,qjr->prij", g.comult, g.mult).reshape(n * n, n * n)
+
+
+def random_structure(n, seed):
+    # no axiom holds, and nothing commutes: a wrong transpose shows
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return hopf.FiniteQuantumGroup(
+        dim=n, mult=draw(n, n, n), unit=draw(n), comult=draw(n, n, n),
+        counit=draw(n), antipode=draw(n, n), star=draw(n, n))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_axiom_contractions_match_einsum_oracles(n, seed):
+    g = random_structure(n, seed)
+    table = dict(hopf.axiom_table(g))
+    for name, oracle in AXIOM_ORACLES.items():
+        expected = oracle(g)
+        assert abs(table[name]() - expected) <= 1e-12 * expected, name
+    expected = galois_oracle(g)
+    got = duality._galois_matrix(g)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def exact_groups():
+    groups = [catalog.builtin(name) for name in ALL]
+    for m in (4, 5, 6):
+        table = dihedral_table(m)
+        groups += [hopf.function_algebra(table), hopf.group_algebra(table)]
+    return groups + [duality.dual(g).dual_group for g in groups]
+
+
+def test_axiom_contractions_equal_einsum_oracles_exactly():
+    # structure constants 0, +-1, +-i: every summation order is exact
+    for g in exact_groups():
+        table = dict(hopf.axiom_table(g))
+        for name, oracle in AXIOM_ORACLES.items():
+            assert table[name]() == oracle(g), (g.labels, name)
+        assert np.array_equal(duality._galois_matrix(g), galois_oracle(g))
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3"])
+@pytest.mark.parametrize("axiom, field, index", [
+    ("comult-multiplicative", "comult", (1, 2, 3)),
+    ("antipode-axiom", "antipode", (1, 2)),
+    ("associativity", "mult", (1, 2, 3)),
+    ("star-antimultiplicative", "mult", (1, 2, 3)),
+    ("coassociativity", "comult", (1, 2, 3)),
+    # a real bump of comult leaves C(S3)'s real coproduct star-compatible
+    ("comult-star", "star", (1, 2)),
+])
+def test_bumped_entry_fails_its_axiom(name, axiom, field, index):
+    g = catalog.builtin(name)
+    bumped = getattr(g, field).copy()
+    bumped[index] += 1e-6
+    broken = dataclasses.replace(g, **{field: bumped})
+    assert axiom in hopf.validate(broken).failing()
 
 
 def test_group_algebra_matches_multiplication_table():
@@ -221,6 +309,31 @@ def test_load_reports_bad_entry_path(c_z2):
     doc = hopf.save_dict(c_z2)
     doc["mult"][0][1][0] = [0.0]
     with pytest.raises(ParseError, match=r"mult\[0\]\[1\]\[0\]"):
+        hopf.load_dict(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field, index", [
+    ("mult", (1, 0, 1)), ("comult", (1, 0, 1)), ("antipode", (2, 1)),
+    ("haar", (3,)),
+])
+def test_load_rejects_non_finite_entry(c_s3, field, index, value):
+    doc = hopf.save_dict(c_s3)
+    entry = doc[field]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = [0.5, value]
+    path = re.escape(field + "".join(f"[{i}]" for i in index))
+    with pytest.raises(ParseError, match=path + ".*not finite"):
+        hopf.load_dict(doc)
+    with pytest.raises(ParseError, match=path + ".*not finite"):
+        hopf.loads(json.dumps(doc))
+
+
+def test_load_rejects_integer_beyond_float_range(c_s3):
+    doc = hopf.save_dict(c_s3)
+    doc["haar"][0] = [10**400, 0]
+    with pytest.raises(ParseError, match=r"haar\[0\].*not finite"):
         hopf.load_dict(doc)
 
 
