@@ -211,10 +211,10 @@ def _expectation_uniqueness(c):
 
 
 def _join_paths(c):
-    # the join by its definition, the limit of convolution powers, once per
-    # pair; "paths" also holds its distance to the table's join, and
-    # "intersection" is the alternating-projection limit's distance to the
-    # L2 projection of the table's join
+    # the join by its definition, the limit of convolution powers in closed
+    # form, once per pair; "paths" also holds its distance to the table's
+    # join, and "intersection" is the alternating-projection limit's
+    # distance to the L2 projection of the table's join
     worst_two, worst_l2, worst_slice = 0.0, 0.0, 0.0
     for i, a in enumerate(c.states):
         for j in range(i, len(c.states)):

@@ -65,10 +65,6 @@ class CriteriaDisagree(QuantumGroupError):
     """Provably equivalent criteria evaluated differently: a bug or a tolerance breach."""
 
 
-class NoConvergence(QuantumGroupError):
-    """An iteration hit its step limit without stabilizing."""
-
-
 class ConventionFailure(QuantumGroupError):
     """No sign/flip convention satisfies the pinning invariants."""
 

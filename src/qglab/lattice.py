@@ -5,11 +5,12 @@ reverse order: the meet of two states is carried by the subalgebra that
 their expectation ranges generate, and the join by the intersection of the
 ranges.  The paper's definition of the join, the limit of convolution
 powers of the product, is join_with_diagnostics; the property suite
-compares it with the closed form on every pair.  Enumeration reads a
+compares it with the intersection on every pair.  Enumeration reads a
 recognized built-in's subgroup catalog, or collects generated idempotents:
 the limits of the Cesaro means of the convolution powers of spectral
-vector states, in closed form, on the group and on its dual, the dual's
-pulled back through the state duality.  A multistart damped Gauss-Newton
+vector states, on the group and on its dual, the dual's pulled back
+through the state duality.  Both limits are one closed form,
+_ergodic_limit: no power is iterated.  A multistart damped Gauss-Newton
 search remains as an independent audit.  One closure then computes the
 meet and the join of every pair once, as GNS bases: a result whose coideal
 a listed state already has is that state, and only a new coideal is built
@@ -37,7 +38,7 @@ from .coideal import (
     intersect,
     state_from_coideal,
 )
-from .errors import CriteriaDisagree, InternalInconsistency, NoConvergence
+from .errors import CriteriaDisagree, InternalInconsistency
 from .harmonic import (
     DEFAULT_TOL,
     Functional,
@@ -55,8 +56,6 @@ from .linalg import _rank, dagger, frob
 
 DEFAULT_SEED = 1729
 DEFAULT_RESTARTS = 200
-DEFAULT_CONV_TOL = 1e-12
-DEFAULT_N_MAX = 10000
 STRATEGIES = ("auto", "catalog", "generated", "search")
 
 
@@ -103,71 +102,39 @@ def join_with_diagnostics(a, b, tol: float = DEFAULT_TOL):
 
     In finite dimension the powers of the product of two projections
     converge geometrically to the projection onto the intersection of their
-    ranges, and slicing the regular unitary is injective, so the plain
-    convolution powers converge too.  They stop once a step is below
-    DEFAULT_CONV_TOL, or below tol and no smaller than the step before.
-    The second stop is a stall: an argument whose value on 1 is off by
-    less than tol scales every power by that factor, so the stalled power
-    is renormalized to value 1 on 1.  The limit is returned as a plain
-    functional: the property suite's join-two-paths compares it with join,
-    whose state is verified where it is built.  The diagnostics compare the
-    slices of the powers with the powers of the product of the L2
-    projections and the limit with the alternating-projection limit
-    recovered through W, and they hold that limit, which join-two-paths
+    ranges, and slicing the regular unitary is injective, so the powers of
+    omega = phi_1 * phi_2 converge too; _ergodic_limit takes both limits in
+    closed form.  iterations is the count the spectrum implies: the least k
+    with rho^k < tol, rho the largest modulus of an eigenvalue of
+    psi -> omega * psi not within tol of 1.  The limit is returned as a
+    plain functional: join-two-paths compares it with join, whose state is
+    verified where it is built.  The diagnostics compare the limit's slice
+    with the alternating-projection limit, and the limit with that limit
+    recovered through W; they hold that limit, which join-two-paths
     compares with the L2 projection of the table's join.
     """
     require_same_home(a.functional, b.functional)
     group = a.home
     reg = duality.regular_unitary(group, tol)   # the call form `dual` caches
 
-    step = convolve(a.functional, b.functional)
-    current = step
-    factor = a.l2_projection @ b.l2_projection
-    matrix_power = factor.copy()
-    slice_residual = 0.0
-    residual = np.inf
-    for iterations in range(1, DEFAULT_N_MAX + 1):
-        if iterations <= 64 or iterations % 16 == 0:
-            lam = duality.slice_second_leg(reg, current)
-            slice_residual = max(slice_residual, frob(lam - matrix_power))
-        nxt = convolve(current, step)
-        previous, residual = residual, sup(nxt.coeffs - current.coeffs)
-        current = nxt
-        if residual < DEFAULT_CONV_TOL:
-            break
-        if previous <= residual < tol:
-            current = Functional(home=group,
-                                 coeffs=current.coeffs / current(group.unit))
-            break
-        matrix_power = matrix_power @ factor
-    else:
-        raise NoConvergence(
-            f"convolution powers did not stabilize in {DEFAULT_N_MAX} steps "
-            f"(last residual {residual:.2e})")
-    if abs(current(group.unit) - 1.0) > 0.5:
+    omega = convolve(a.functional, b.functional).coeffs
+    ops = np.tensordot(omega, group.comult, axes=([0], [1]))
+    limit = Functional(home=group, coeffs=_ergodic_limit(ops, omega[:, None], tol)[:, 0])
+    if abs(limit(group.unit) - 1.0) > 0.5:
         raise InternalInconsistency(
             "join collapsed toward the formal zero on a finite quantum group")
+    l2_limit = _ergodic_limit(a.l2_projection @ b.l2_projection,
+                              np.eye(group.dim), tol)
 
-    limit = matrix_power
-    for _ in range(DEFAULT_N_MAX):
-        nxt = limit @ factor
-        stable = frob(nxt - limit) < DEFAULT_CONV_TOL
-        limit = nxt
-        if stable:
-            break
-    else:
-        raise NoConvergence(
-            f"alternating projections did not stabilize in {DEFAULT_N_MAX} steps")
-
-    result = Functional(home=group, coeffs=current.coeffs)
-
+    lam = np.linalg.eigvals(ops)
+    rho = max(np.abs(lam[np.abs(lam - 1.0) > tol]), default=0.0)
     recovered, _, _, _ = np.linalg.lstsq(
-        reg.second_legs.reshape(group.dim, -1).T, limit.reshape(-1), rcond=None)
-    two_path = sup(result.coeffs - recovered)
+        reg.second_legs.reshape(group.dim, -1).T, l2_limit.reshape(-1), rcond=None)
     diag = JoinDiagnostics(
-        iterations=iterations, slice_residual=slice_residual,
-        two_path_distance=two_path, l2_limit=limit)
-    return result, diag
+        iterations=1 if rho == 0 else int(np.log(tol) / np.log(rho)) + 1,
+        slice_residual=frob(duality.slice_second_leg(reg, limit) - l2_limit),
+        two_path_distance=sup(limit.coeffs - recovered), l2_limit=l2_limit)
+    return limit, diag
 
 
 # ----------------------------------------------------------------------
@@ -472,6 +439,26 @@ def _gauss_newton_state(kernel, y0, target=1e-12, max_iter=120):
     return y, norm, norm < target
 
 
+def _ergodic_limit(ops, vecs, tol):
+    """The components of vecs in ker(ops - I) along range(ops - I).
+
+    For a stack of matrices whose peripheral eigenvalues are semisimple,
+    this is the limit of the Cesaro means of their powers on the matching
+    stack of column blocks, and the plain limit where that exists.  One
+    batched SVD of ops - I, cut at tol, gives bases of the two spaces and
+    one linear solve the components.
+    """
+    n = ops.shape[-1]
+    u, s, vh = np.linalg.svd(ops - np.eye(n))
+    ranks = np.array([_rank(row, tol) for row in s.reshape(-1, n)])
+    in_range = np.arange(n) < ranks.reshape(s.shape[:-1] + (1,))
+    kernel = vh.conj().swapaxes(-1, -2)
+    # columns: range(ops - I) then ker(ops - I); the limit is the kernel part
+    parts = np.linalg.solve(np.where(in_range[..., None, :], u, kernel), vecs)
+    return np.einsum("...ij,...jk->...ik", kernel,
+                     np.where(in_range[..., None], 0.0, parts))
+
+
 def _generated_limits(group, tol):
     """The idempotent states generated by the spectral vector states of a group.
 
@@ -479,27 +466,17 @@ def _generated_limits(group, tol):
     the vector states x' -> h(y* x' y) / h(y* y) of the pull-backs y of
     the eigenvectors of L(x) on L2.  The idempotent state a seed phi
     generates is the limit of the Cesaro means of its convolution powers
-    (Franz and Skalski): the component of phi in ker(M - I) along
-    range(M - I), M the matrix of psi -> phi * psi.  The peripheral
-    eigenvalues of M are semisimple, so one SVD of M - I, cut at tol,
-    gives bases of the two spaces and one linear solve the component.
-    Returns the distinct limits that are idempotent states.
+    (Franz and Skalski): _ergodic_limit of phi on M, the matrix of
+    psi -> phi * psi, all seeds in one batch.  Returns the distinct limits
+    that are idempotent states.
     """
     space = hopf.gns(group)
-    n = group.dim
     # a fixed stream: the seeds depend on nothing but the group
-    z = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, n))
+    z = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, group.dim))
     _, vecs = np.linalg.eigh(space.represent(z + group.adjoint(z)))
     seeds = np.einsum("ai,kai->ik", vecs.conj(), space.left_mult @ vecs)
-    u, s, vh = np.linalg.svd(np.tensordot(seeds, group.comult, axes=([1], [1]))
-                             - np.eye(n))
-    ranks = np.array([_rank(row, tol) for row in s])
-    in_range = np.arange(n)[None, :] < ranks[:, None]
-    kernel = vh.conj().transpose(0, 2, 1)
-    # columns: range(M - I) then ker(M - I); the limit is the kernel part
-    parts = np.linalg.solve(np.where(in_range[:, None, :], u, kernel),
-                            seeds[..., None])[..., 0]
-    limits = np.einsum("sij,sj->si", kernel, np.where(in_range, 0.0, parts))
+    limits = _ergodic_limit(np.tensordot(seeds, group.comult, axes=([1], [1])),
+                            seeds[..., None], tol)[..., 0]
     functionals = [Functional(home=group, coeffs=c) for c in limits]
     return _dedup([f for f in functionals if is_idempotent_state(f, tol)], tol)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qglab import catalog, cli, hopf, lattice
-from qglab.errors import CriteriaDisagree, NoConvergence
+from qglab.errors import CriteriaDisagree, NotPositive
 from test_quantum_example import build_quantum_example
 
 
@@ -258,7 +258,7 @@ def test_internal_inconsistency_maps_to_exit_3(z2_file, capsys, monkeypatch):
 
 @pytest.mark.parametrize("error, code", [
     (CriteriaDisagree, 3),   # a check's own criteria disagree: internal
-    (NoConvergence, 1),      # any other error inside a check: it fails
+    (NotPositive, 1),        # any other error inside a check: it fails
 ])
 def test_check_exit_code_follows_the_failure_kind(z2_file, capsys, monkeypatch,
                                                   error, code):

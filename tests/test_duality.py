@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qglab import catalog, checks, coideal, duality, harmonic, hopf, lattice
-from qglab.errors import CriteriaDisagree, NoConvergence
+from qglab.errors import CriteriaDisagree, NotPositive
 from qglab.linalg import dagger, frob, nullspace, subspace_distance
 from conftest import dihedral_table, s3_subgroup
 from test_quantum_example import build_quantum_example
@@ -602,7 +602,7 @@ def test_suite_reports_disagreeing_criteria_as_internal(monkeypatch):
 
 def test_suite_reports_other_errors_as_plain_failures(monkeypatch):
     monkeypatch.setattr(lattice, "commutation_equivalences",
-                        raising(NoConvergence("forced stall")))
+                        raising(NotPositive("forced stall")))
     results = checks.run_all_checks(catalog.builtin("c_z2"))
     failed = [r for r in results if not r.passed]
     assert [r.key for r in failed] == ["commutation-equivalences"]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qglab import catalog, checks, coideal, harmonic, hopf, lattice
-from qglab.errors import InternalInconsistency, NoConvergence
+from qglab.errors import InternalInconsistency
+from qglab.linalg import frob
 from conftest import assert_same_lattice, dihedral_table, s3_subgroup
 from test_quantum_example import build_quantum_example
 
@@ -67,15 +68,6 @@ def test_join_on_group_algebra_is_pointwise():
     assert got.distance(harmonic.haar_functional(g)) < 1e-9
 
 
-def test_join_no_convergence_cap(monkeypatch):
-    _, by_sub = states_by_subgroup("c_s3")
-    a = by_sub[s3_subgroup({"e", "(12)"})]
-    b = by_sub[s3_subgroup({"e", "(13)"})]
-    monkeypatch.setattr(lattice, "DEFAULT_N_MAX", 2)
-    with pytest.raises(NoConvergence):
-        lattice.join_with_diagnostics(a, b)
-
-
 def scaled(state, eps):
     """The state times (1 + eps), verified anew."""
     f = harmonic.Functional(home=state.home, coeffs=(1.0 + eps) * state.coeffs)
@@ -83,8 +75,9 @@ def scaled(state, eps):
 
 
 def test_join_stops_on_off_normalization_state(c_s3):
-    # every convolution power of this state moves by about 1e-11, which is
-    # above the convergence tolerance but below the state tolerance
+    # this state is off its unit value by 1e-11, below the state tolerance:
+    # the rank cut counts every singular value of M - I as zero, so the
+    # limit is the product itself, 2e-11 from the counit
     counit = coideal.as_idempotent_state(harmonic.convolution_unit(c_s3))
     t = scaled(counit, 1e-11)
     got, diag = lattice.join_with_diagnostics(t, t)
@@ -119,6 +112,38 @@ def test_join_is_the_limit_of_convolution_powers(name):
     for i, a in enumerate(states):
         for b in states[i:]:
             assert lattice.join(a, b).distance(limit_of_powers(a, b)) < 1e-8
+
+
+@functools.cache
+def lattice_states(name):
+    if name == "kp":
+        return lattice.enumerate_idempotents(build_quantum_example()).states
+    if name == "c_d4":
+        group = hopf.function_algebra(dihedral_table(4))
+        return lattice.enumerate_idempotents(group).states
+    return catalog_states(name)
+
+
+@pytest.mark.parametrize("name", [*catalog.BUILTIN_NAMES, "kp", "c_d4"])
+def test_join_limit_is_reached_by_plain_powers(name):
+    # the definition without an SVD: omega^{*1024} and (P_1 P_2)^1024 by ten
+    # squarings, and omega^{*k} for the iteration count k
+    tol = harmonic.DEFAULT_TOL
+    states = lattice_states(name)
+    for i, a in enumerate(states):
+        for b in states[i:]:
+            limit, diag = lattice.join_with_diagnostics(a, b)
+            omega = harmonic.convolve(a.functional, b.functional)
+            power, l2_power = omega, a.l2_projection @ b.l2_projection
+            for _ in range(10):
+                power = harmonic.convolve(power, power)
+                l2_power = l2_power @ l2_power
+            assert harmonic.sup(power.coeffs - limit.coeffs) < 1e-10
+            assert frob(l2_power - diag.l2_limit) < 1e-10
+            kth = omega
+            for _ in range(diag.iterations - 1):
+                kth = harmonic.convolve(kth, omega)
+            assert harmonic.sup(kth.coeffs - limit.coeffs) < 10 * tol
 
 
 def test_lattice_runs_no_convolution_loop(monkeypatch):
