@@ -35,8 +35,7 @@ class RunConfig:
     path: str | None
     axiom_tol: float = hopf.AXIOM_TOL
     state_tol: float = hopf.DERIVED_TOL
-    restarts: int = lattice.DEFAULT_RESTARTS
-    seed: int = lattice.DEFAULT_SEED
+    seed: int = checks.DEFAULT_SEED
     fmt: str = "text"
     out: str | None = None
     strategy: str = "auto"
@@ -46,8 +45,6 @@ class RunConfig:
         for field in ("axiom_tol", "state_tol"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field.replace('_', '-')} must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -60,8 +57,7 @@ class RunConfig:
             path=getattr(args, "file", None),
             axiom_tol=getattr(args, "axiom_tol", hopf.AXIOM_TOL),
             state_tol=tol,
-            restarts=getattr(args, "restarts", lattice.DEFAULT_RESTARTS),
-            seed=getattr(args, "seed", lattice.DEFAULT_SEED),
+            seed=getattr(args, "seed", checks.DEFAULT_SEED),
             fmt=getattr(args, "fmt", "text"),
             out=getattr(args, "out", None),
             strategy=getattr(args, "strategy", "auto"),
@@ -87,8 +83,6 @@ def _add_common(sub: argparse.ArgumentParser, with_file: bool = True) -> None:
                           f"(default {hopf.DERIVED_TOL:g}, or QGLAB_TOL)")
     sub.add_argument("--axiom-tol", type=float, default=hopf.AXIOM_TOL,
                      help="tolerance for structural axioms")
-    sub.add_argument("--seed", type=int, default=lattice.DEFAULT_SEED,
-                     help="seed of --strategy search and of the suite's random probes")
     sub.add_argument("--format", choices=("json", "dot", "text"),
                      default="text", dest="fmt")
     sub.add_argument("--out", default=None, help="write output to this path")
@@ -113,22 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("idempotents", help="enumerate idempotent states")
     _add_common(p)
     p.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
-    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS,
-                   help="restarts of --strategy search")
+    p.add_argument("--seed", type=int, help="accepted and unused")
+    p.add_argument("--restarts", type=int, help="accepted and unused")
 
     p = commands.add_parser("lattice", help="order, tables and Hasse diagram")
     _add_common(p)
     p.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
-    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS,
-                   help="restarts of --strategy search")
 
     p = commands.add_parser("dual", help="construct the dual quantum group")
     _add_common(p)
 
     p = commands.add_parser("check", help="run the full property suite")
     _add_common(p)
-    p.add_argument("--restarts", type=int, default=lattice.DEFAULT_RESTARTS,
-                   help="accepted and unused: the suite never searches")
+    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
+                   help="seed of the suite's random probes")
+    p.add_argument("--restarts", type=int, help="accepted and unused")
 
     return parser
 
@@ -188,15 +181,12 @@ def cmd_examples(config: RunConfig) -> int:
 def cmd_idempotents(config: RunConfig) -> int:
     group = _load(config)
     enum = lattice.enumerate_idempotents(
-        group, strategy=config.strategy, restarts=config.restarts,
-        seed=config.seed, tol=config.state_tol)
+        group, strategy=config.strategy, tol=config.state_tol)
     doc = {
         "group_hash": hopf.group_hash(hopf.with_haar(group)),
         "report": {
             "strategy": enum.report.strategy,
             "recognized": enum.report.recognized,
-            "restarts": enum.report.restarts,
-            "seed": enum.report.seed,
             "coverage": enum.report.coverage,
         },
         "states": [_state_record(s) for s in enum.states],
@@ -218,8 +208,7 @@ def cmd_idempotents(config: RunConfig) -> int:
 def cmd_lattice(config: RunConfig) -> int:
     group = _load(config)
     lat = lattice.enumerate_idempotents(
-        group, strategy=config.strategy, restarts=config.restarts,
-        seed=config.seed, tol=config.state_tol).lattice
+        group, strategy=config.strategy, tol=config.state_tol).lattice
     dot = lattice.to_dot(lat)
     if config.fmt == "dot":
         _emit(dot, config.out)
@@ -276,7 +265,7 @@ def cmd_check(config: RunConfig) -> int:
     group = _load(config)
     results = checks.run_all_checks(
         group, axiom_tol=config.axiom_tol, tol=config.state_tol,
-        seed=config.seed, restarts=config.restarts)
+        seed=config.seed)
     if config.fmt == "json":
         doc = [{"key": r.key, "passed": r.passed, "residual": r.residual,
                 "detail": r.detail, "internal": r.internal} for r in results]

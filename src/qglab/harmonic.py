@@ -12,7 +12,6 @@ order with its four provably equivalent criteria.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,7 +31,6 @@ from .linalg import (
     frob,
     min_eigval,
     orthonormal_columns,
-    real_nullspace,
     sup,
 )
 
@@ -323,18 +321,3 @@ def preceq(mu, nu, tol: float = DEFAULT_TOL) -> bool:
             f"convolution {r1:.2e}, expectation {r2:.2e}, "
             f"range {r3:.2e}, projection {r4:.2e}")
     return answers[0]
-
-
-# ----------------------------------------------------------------------
-# hermitian coordinates (used by the idempotent search)
-# ----------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def hermitian_basis(group: hopf.FiniteQuantumGroup) -> np.ndarray:
-    """Complex (n, k) basis of the real space of hermitian functionals."""
-    n = group.dim
-    sr, si = group.star.T.real, group.star.T.imag
-    eye = np.eye(n)
-    block = np.block([[sr - eye, -si], [si, sr + eye]])
-    basis = real_nullspace(block)
-    return basis[:n, :] + 1j * basis[n:, :]

@@ -10,8 +10,7 @@ recognized built-in's subgroup catalog, or collects generated idempotents:
 the limits of the Cesaro means of the convolution powers of spectral
 vector states, on the group and on its dual, the dual's pulled back
 through the state duality.  Both limits are one closed form,
-_ergodic_limit: no power is iterated.  A multistart damped Gauss-Newton
-search remains as an independent audit.  One closure then computes the
+_ergodic_limit: no power is iterated.  One closure then computes the
 meet and the join of every pair once, as GNS bases: a result whose coideal
 a listed state already has is that state, and only a new coideal is built
 and verified as a state and appended.  The closure's tables, permuted into
@@ -19,9 +18,8 @@ canonical order, are the lattice that enumeration returns, so nothing
 downstream recomputes an operation.
 
 Everything here is a pure function of immutable inputs: the generated
-seeds come from one fixed stream, search restarts are independent draws
-from one seeded stream, and results merge by sorted deduplication, so the
-operations parallelize safely and deterministically.
+seeds come from one fixed stream, and results merge by sorted
+deduplication, so the operations parallelize safely and deterministically.
 """
 from __future__ import annotations
 
@@ -43,10 +41,7 @@ from .harmonic import (
     DEFAULT_TOL,
     Functional,
     IdempotentState,
-    convolution_unit,
     convolve,
-    haar_functional,
-    hermitian_basis,
     is_idempotent_state,
     preceq,
     require_same_home,
@@ -54,9 +49,8 @@ from .harmonic import (
 )
 from .linalg import _rank, dagger, frob
 
-DEFAULT_SEED = 1729
-DEFAULT_RESTARTS = 200
-STRATEGIES = ("auto", "catalog", "generated", "search")
+STRATEGIES = ("auto", "catalog", "generated")
+_SEED_STREAM = 0   # the generated seeds' fixed stream; no option reaches it
 
 
 # ----------------------------------------------------------------------
@@ -288,10 +282,6 @@ def to_dot(lat: IdempotentLattice) -> str:
 class EnumerationReport:
     strategy: str
     recognized: str | None
-    restarts: int
-    seed: int | None
-    converged: int
-    positive: int
     coverage: str
     generated: dict | None = None   # the generated strategy's counts per side
 
@@ -330,115 +320,6 @@ def _canonical_order(states) -> list[int]:
     return sorted(range(len(states)), key=key)
 
 
-def _positive_seed(group, rng):
-    """Random element seed; its squared modulus gives a random state density."""
-    n = group.dim
-    mask = rng.random(n) < 0.5
-    if not mask.any():
-        mask[int(rng.integers(n))] = True
-    y = mask.astype(complex)
-    if rng.random() < 0.67:
-        y = y * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return y
-
-
-class _SearchKernel:
-    """The search's functional, residual and Jacobian from tensors held once.
-
-    For an element y the functional is c(y) = rho M_h, the state
-    x -> haar(y* y x) before normalization, with rho = y* y and
-    M_h[i, j] = sum_k mult[i, j, k] haar[k].  The residual is the
-    idempotency gap c * c - c in real coordinates of the hermitian basis,
-    then the row c(1) - 1.  The held tensors are built once per search.
-    """
-
-    def __init__(self, group):
-        mult_h = group.mult @ group.haar
-        self.group = group
-        # y @ a_term is the rows A_a M_h; y* @ b_term is the rows B_a M_h
-        self.a_term = hopf.star_mult_tensor(group) @ mult_h
-        self.b_term = (group.mult @ mult_h).reshape(group.dim, -1)
-        herm = hermitian_basis(group)
-        self.herm_re, self.herm_im = herm.real.copy(), herm.imag.copy()
-
-    def _b(self, y):
-        """The rows B_a M_h; y times them is c(y)."""
-        g = self.group
-        return (g.adjoint(y) @ self.b_term).reshape(g.dim, g.dim)
-
-    def _project(self, gap, norm):
-        """Real coordinates of gaps in the hermitian basis, then the unit row."""
-        return np.concatenate(
-            [gap.real @ self.herm_re + gap.imag @ self.herm_im, norm], axis=-1)
-
-    def functional(self, y):
-        return y @ self._b(y)
-
-    def residual(self, y):
-        c = self.functional(y)
-        gap = (self.group.comult @ c) @ c - c
-        return self._project(gap, [float((c @ self.group.unit).real) - 1.0])
-
-    def jacobian(self, y):
-        """(residual size, 2n) real Jacobian, columns (Re y_a, Im y_a) in turn.
-
-        The residual is quadratic in (y, conj y).  With
-        A_a = sum_{i,j} star[i, a] y_j mult[i, j, :] and
-        B_a = sum_i (y*)_i mult[i, a, :], rho moves by A_a + B_a along
-        Re y_a and by i (B_a - A_a) along Im y_a; dc = d rho M_h, and
-        d(c * c - c) = (L_c + R_c - I) dc, where L_c = comult @ c and
-        R_c = c @ comult contract c with comult's third and second legs.
-        """
-        g = self.group
-        b = self._b(y)
-        a = y @ self.a_term
-        c = y @ b
-        dc = np.empty((2 * g.dim, g.dim), dtype=complex)
-        dc[0::2] = a + b
-        dc[1::2] = 1j * (b - a)
-        lift = g.comult @ c + c @ g.comult - np.eye(g.dim)
-        return self._project(dc @ lift.T, (dc @ g.unit).real[:, None]).T
-
-
-def _gauss_newton_state(kernel, y0, target=1e-12, max_iter=120):
-    """Levenberg-damped Gauss-Newton on the squared-element parametrization.
-
-    Parametrizing the functional through y* y keeps every iterate positive,
-    so the search can reach idempotent states that are isolated only within
-    the state space (a plain hermitian-coordinate Newton stalls on nearby
-    non-positive idempotent functionals).  The damping handles the gauge
-    directions of the parametrization, which make the plain normal
-    equations nearly singular.  The Jacobian is in closed form, since the
-    residual is quadratic in (y, conj y): J = P (L_c + R_c - I) d(rho M_h),
-    where P takes real coordinates in the hermitian basis and appends the
-    unit row (see _SearchKernel.jacobian).
-    """
-    y = y0.astype(complex)
-    res = kernel.residual(y)
-    norm = float(np.linalg.norm(res))
-    lam = 1e-3
-    for _ in range(max_iter):
-        if norm < target:
-            return y, norm, True
-        u, s, vt = np.linalg.svd(kernel.jacobian(y), full_matrices=False)
-        projected = u.T @ (-res)
-        improved = False
-        for _ in range(25):
-            step = vt.T @ (s / (s ** 2 + lam ** 2) * projected)
-            trial = y + (step[0::2] + 1j * step[1::2])
-            trial_res = kernel.residual(trial)
-            trial_norm = float(np.linalg.norm(trial_res))
-            if trial_norm < norm:
-                y, res, norm = trial, trial_res, trial_norm
-                lam = max(lam / 3.0, 1e-9)
-                improved = True
-                break
-            lam = min(lam * 4.0, 1e6)
-        if not improved:
-            return y, norm, norm < target
-    return y, norm, norm < target
-
-
 def _ergodic_limit(ops, vecs, tol):
     """The components of vecs in ker(ops - I) along range(ops - I).
 
@@ -472,7 +353,7 @@ def _generated_limits(group, tol):
     """
     space = hopf.gns(group)
     # a fixed stream: the seeds depend on nothing but the group
-    z = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, group.dim))
+    z = [1.0, 1j] @ np.random.default_rng(_SEED_STREAM).standard_normal((2, group.dim))
     _, vecs = np.linalg.eigh(space.represent(z + group.adjoint(z)))
     seeds = np.einsum("ai,kai->ik", vecs.conj(), space.left_mult @ vecs)
     limits = _ergodic_limit(np.tensordot(seeds, group.comult, axes=([1], [1])),
@@ -507,37 +388,18 @@ def _generated_states(group, tol):
     return _dedup(ours + pulled, tol), counts
 
 
-def _search_idempotents(group, restarts, seed, tol):
-    group = hopf.with_haar(group)
-    kernel = _SearchKernel(group)
-    rng = np.random.default_rng(seed)
-    found = [convolution_unit(group), haar_functional(group)]
-    converged = 0
-    for _ in range(restarts):
-        y0 = _positive_seed(group, rng)
-        y, norm, ok = _gauss_newton_state(kernel, y0, target=1e-12)
-        if not ok:
-            continue
-        converged += 1
-        f = Functional(home=group, coeffs=kernel.functional(y))
-        if not is_idempotent_state(f, tol):
-            continue
-        found.append(f)
-    return _dedup(found, tol), converged
-
-
 def enumerate_idempotents(group, strategy: str = "auto",
-                          restarts: int = DEFAULT_RESTARTS,
-                          seed: int = DEFAULT_SEED,
-                          tol: float = DEFAULT_TOL) -> EnumerationResult:
+                          tol: float = DEFAULT_TOL, *,
+                          restarts=None, seed=None) -> EnumerationResult:
     """All idempotent states found by the chosen strategy, with their lattice.
 
     The states are closed under meet and join and sorted canonically; the
     result's lattice holds the tables of that closure.
     "catalog" reads the subgroup catalog of a recognized built-in;
     "generated" collects the generated idempotents of both sides;
-    "search" runs the multistart solver, the only one that reads restarts
-    and seed; "auto" prefers the catalog, then "generated".
+    "auto" prefers the catalog, then "generated".  Neither depends on a
+    seed.  restarts and seed are accepted and unused, for callers written
+    when a seeded multistart search was a third strategy.
     Incompleteness is reported, never raised.
     """
     group = hopf.with_haar(group)
@@ -553,12 +415,8 @@ def enumerate_idempotents(group, strategy: str = "auto",
     counts = None
     if used == "catalog":
         functionals = catalog.catalog_functionals(group, recognized)
-        converged = len(functionals)
-    elif used == "generated":
-        functionals, counts = _generated_states(group, tol)
-        converged = len(functionals)
     else:
-        functionals, converged = _search_idempotents(group, restarts, seed, tol)
+        functionals, counts = _generated_states(group, tol)
 
     states = [as_idempotent_state(f, tol, name=f.name) for f in functionals]
     states, meet_table, join_table = _close(states, tol)
@@ -572,19 +430,14 @@ def enumerate_idempotents(group, strategy: str = "auto",
         rank[join_table[np.ix_(perm, perm)]], tol)
 
     coverage = "catalog"
-    if used != "catalog":
+    if used == "generated":
+        coverage = "generated (G and Ĝ)"
         if recognized:
             expected = len(catalog.catalog_functionals(group, recognized))
             missing = expected - len(states)
             coverage = "full" if missing == 0 else f"missing {missing} of {expected}"
-        elif used == "generated":
-            coverage = "generated (G and Ĝ)"
-        else:
-            coverage = "best-effort (no oracle)"
-    report = EnumerationReport(
-        strategy=used, recognized=recognized, restarts=restarts if used == "search" else 0,
-        seed=seed if used == "search" else None, converged=converged,
-        positive=len(states), coverage=coverage, generated=counts)
+    report = EnumerationReport(strategy=used, recognized=recognized,
+                               coverage=coverage, generated=counts)
     return EnumerationResult(report=report, lattice=lat)
 
 

@@ -64,12 +64,6 @@ def nullspace(a: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
     return dagger(vh)[:, _rank(s, rel_tol):]
 
 
-def real_nullspace(a: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    return vh.T[:, _rank(s, rel_tol):]
-
-
 def projector(basis: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of orthonormal columns."""
     return basis @ dagger(basis)

@@ -56,9 +56,10 @@ def test_invariant_state_transports(moved_s3):
     assert np.max(np.abs(computed - g.haar @ m)) < 1e-10
 
 
-def test_search_recovers_transported_catalog(moved_s3):
+def test_generated_recovers_transported_catalog(moved_s3):
     g, m, moved = moved_s3
-    enum = lattice.enumerate_idempotents(moved, strategy="search")
+    enum = lattice.enumerate_idempotents(moved)
+    assert enum.report.strategy == "generated"
     assert len(enum.states) == 6
     # functionals transport contravariantly: values on the new basis are
     # values on the old images
@@ -72,8 +73,7 @@ def test_search_recovers_transported_catalog(moved_s3):
 
 def test_lattice_shape_is_basis_independent(moved_s3):
     _, _, moved = moved_s3
-    enum = lattice.enumerate_idempotents(moved, strategy="search",
-                                         restarts=120)
+    enum = lattice.enumerate_idempotents(moved, strategy="generated")
     lat = lattice.build_lattice(enum.states)
     order_counts = sorted(lat.order.sum(axis=1).tolist())
     # the subgroup lattice of S3: the counit below everything, the
@@ -124,7 +124,7 @@ def test_auto_recovers_transported_catalog_when_ill_conditioned(kappa, unitary_s
 
 def test_ill_conditioned_basis_is_not_an_internal_error(tmp_path, capsys):
     # a valid group in a basis of condition number 1e3: every state is
-    # enumerated, and --restarts is accepted though auto never searches
+    # enumerated, and --restarts is accepted and unused
     _, moved = ill_conditioned_s3(1e3)
     path = tmp_path / "ill.json"
     path.write_text(hopf.save(moved) + "\n")

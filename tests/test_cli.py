@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qglab import catalog, cli, hopf, lattice
+from qglab import catalog, checks, cli, hopf, lattice
 from qglab.errors import CriteriaDisagree, NotPositive
 from test_quantum_example import build_quantum_example
 
@@ -139,7 +139,7 @@ def test_idempotents_json(s3_file, capsys):
 
 def test_idempotents_deterministic_bytes(s3_file, capsys):
     args = ("idempotents", s3_file, "--format", "json", "--strategy",
-            "search", "--restarts", "40", "--seed", "7")
+            "generated")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -297,3 +297,39 @@ def test_json_reports_are_the_standard_indented_encoding(tmp_path, capsys, name,
     code, out, _ = run(capsys, command, "--format", "json", str(path))
     assert code == cli.EXIT_OK
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+# ----------------------------------------------------------------------
+# --seed and --restarts on idempotents and --restarts on check, and the
+# same keywords of enumerate_idempotents and run_all_checks, are accepted
+# and unused
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", ["auto", "generated"])
+def test_enumeration_ignores_restarts_and_seed(c_s3, strategy):
+    plain = lattice.enumerate_idempotents(c_s3, strategy=strategy)
+    shimmed = lattice.enumerate_idempotents(c_s3, strategy=strategy,
+                                            restarts=200, seed=3)
+    assert plain.report == shimmed.report
+    assert [s.coeffs.tolist() for s in plain] == [s.coeffs.tolist() for s in shimmed]
+
+
+def test_suite_ignores_restarts(c_z2):
+    assert (checks.run_all_checks(c_z2, seed=1, restarts=200)
+            == checks.run_all_checks(c_z2, seed=1))
+
+
+@pytest.mark.parametrize("command", ["check", "idempotents"])
+def test_restarts_flag_changes_no_byte(z2_file, capsys, command):
+    plain = run(capsys, command, "--format", "json", "--seed", "5", z2_file)
+    shimmed = run(capsys, command, "--format", "json", "--seed", "5",
+                  "--restarts", "200", z2_file)
+    assert plain[0] == cli.EXIT_OK
+    assert plain == shimmed
+
+
+def test_search_is_not_a_strategy(z2_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["idempotents", "--strategy", "search", z2_file])
+    assert exc.value.code == cli.EXIT_INPUT_ERROR
+    assert "invalid choice: 'search'" in capsys.readouterr().err

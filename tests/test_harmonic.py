@@ -84,15 +84,6 @@ def test_counit_is_idempotent_state(name):
     assert harmonic.is_idempotent_state(harmonic.haar_functional(g))
 
 
-def test_hermitian_basis_has_real_dimension_n(c_s3, cg_s3):
-    for g in (c_s3, cg_s3):
-        basis = harmonic.hermitian_basis(g)
-        assert basis.shape == (6, 6)
-        rng = np.random.default_rng(0)
-        f = measure(g, basis @ rng.standard_normal(6))
-        assert f.is_hermitian()
-
-
 # ----------------------------------------------------------------------
 # support projections
 # ----------------------------------------------------------------------

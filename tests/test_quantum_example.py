@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from qglab import checks, cli, duality, harmonic, hopf, lattice
+from qglab import checks, cli, coideal, duality, harmonic, hopf, lattice
 from conftest import assert_same_lattice
 
 KLEIN = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -108,14 +108,24 @@ def quantum():
     return build_quantum_example()
 
 
+# the eight idempotent states, times 4, in canonical order: the structure
+# constants lie in {0, +-1, +-i}, so each is idempotent exactly in floats
+ORACLE = [[4, 0, 0, 0, 4, 0, 0, 0], [2, 0, 0, 2, 2, 0, 0, -2],
+          [2, 0, 0, 2, 2, 0, 0, 2], [4, 0, 0, 0, 0, 0, 0, 0],
+          [2, 0, 0, 2, 0, 0, 0, 0], [2, 0, 2, 0, 0, 0, 0, 0],
+          [2, 2, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0, 0]]
+
+
 @pytest.fixture(scope="module")
 def quantum_enum(quantum):
-    return lattice.enumerate_idempotents(quantum, strategy="search")
+    return lattice.enumerate_idempotents(quantum)
 
 
 @pytest.fixture(scope="module")
-def quantum_states(quantum_enum):
-    return quantum_enum.states
+def quantum_states(quantum):
+    return [coideal.as_idempotent_state(harmonic.Functional(
+                home=quantum, coeffs=np.array(v, dtype=complex) / 4))
+            for v in ORACLE]
 
 
 def test_validates_and_is_genuinely_quantum(quantum):
@@ -127,31 +137,26 @@ def test_validates_and_is_genuinely_quantum(quantum):
     assert np.allclose(quantum.haar[4:], 0.0)
 
 
-def test_search_finds_eight_idempotent_states(quantum, quantum_states):
-    assert len(quantum_states) == 8
+def test_oracle_states_are_exactly_idempotent(quantum_states):
+    for s in quantum_states:
+        assert np.array_equal(harmonic.convolve(s.functional, s.functional).coeffs,
+                              s.coeffs)
     dims = sorted(s.coideal.dim for s in quantum_states)
     assert dims == [1, 2, 2, 2, 4, 4, 4, 8]
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_search_finds_eight_states_at_other_seeds(quantum, seed):
-    # the fixture's search runs at the default seed, 1729
-    enum = lattice.enumerate_idempotents(quantum, strategy="search", seed=seed)
-    assert len(enum.states) == 8
-
-
-def test_auto_generates_the_eight_states_without_searching(quantum, quantum_states,
-                                                           monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("auto ran the search")
-    monkeypatch.setattr(lattice, "_gauss_newton_state", refuse)
-    enum = lattice.enumerate_idempotents(quantum)
+def test_auto_generates_the_eight_states_without_searching(quantum_enum,
+                                                           quantum_states):
+    enum = quantum_enum
     assert enum.report.strategy == "generated"
     assert enum.report.coverage == "generated (G and Ĝ)"
-    assert sorted(s.coideal.dim for s in enum.states) == [1, 2, 2, 2, 4, 4, 4, 8]
+    assert [s.coideal.dim for s in enum.states] == [8, 4, 4, 4, 2, 2, 2, 1]
     assert sum(not harmonic.haar_type_test(s) for s in enum.states) == 2
-    # the independent audit finds the same states
-    assert all(a.distance(b) < 1e-8 for a, b in zip(enum.states, quantum_states))
+    # the same set as the exact oracle; canonical order is the oracle's order
+    assert len(enum.states) == len(quantum_states)
+    for s in quantum_states:
+        assert sum(harmonic.sup(s.coeffs - t.coeffs) < 1e-12 for t in enum.states) == 1
+    assert all(a.distance(b) < 1e-12 for a, b in zip(enum.states, quantum_states))
 
 
 def test_generated_json_does_not_depend_on_the_seed(quantum, tmp_path, capsys):
@@ -164,26 +169,10 @@ def test_generated_json_does_not_depend_on_the_seed(quantum, tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     report = json.loads(outs[0])["report"]
-    assert (report["strategy"], report["restarts"], report["seed"]) == (
-        "generated", 0, None)
+    assert set(report) == {"strategy", "recognized", "coverage", "generated"}
+    assert report["strategy"] == "generated"
     assert set(report["generated"]) == {"seeds", "limits", "one_side",
                                         "closure_added"}
-
-
-def test_search_jacobian_is_closed_form(quantum, monkeypatch):
-    # a finite-difference Jacobian would take 2n + 1 = 17 residuals each;
-    # the Levenberg trials take about one residual per Jacobian
-    calls = {"residual": 0, "jacobian": 0}
-    for attr in calls:
-        real = getattr(lattice._SearchKernel, attr)
-
-        def counted(self, y, real=real, attr=attr):
-            calls[attr] += 1
-            return real(self, y)
-        monkeypatch.setattr(lattice._SearchKernel, attr, counted)
-    lattice.enumerate_idempotents(quantum, strategy="search", restarts=20)
-    assert calls["jacobian"] > 0
-    assert calls["residual"] < 3 * calls["jacobian"]
 
 
 def test_exactly_two_states_are_not_haar_type(quantum_states):
@@ -209,7 +198,7 @@ def test_dual_convention_is_unique(quantum):
 
 
 def test_full_property_suite_passes(quantum):
-    results = checks.run_all_checks(quantum, restarts=120)
+    results = checks.run_all_checks(quantum)
     failed = [r.key for r in results if not r.passed]
     assert not failed, failed
     by_key = {r.key: r for r in results}
