@@ -13,7 +13,6 @@ from .hopf import (
     load_path,
     loads,
     save,
-    save_dict,
     validate,
     with_haar,
 )

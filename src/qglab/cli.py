@@ -8,7 +8,7 @@ seed) produce byte-identical JSON reports.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import os
 import sys
 
@@ -27,44 +27,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """One invocation's knobs; tolerances are validated on construction."""
-
-    command: str
-    path: str | None
-    axiom_tol: float = hopf.AXIOM_TOL
-    state_tol: float = hopf.DERIVED_TOL
-    seed: int = checks.DEFAULT_SEED
-    fmt: str = "text"
-    out: str | None = None
-    strategy: str = "auto"
-    name: str | None = None
-
-    def __post_init__(self):
-        for field in ("axiom_tol", "state_tol"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field.replace('_', '-')} must be positive")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        tol = getattr(args, "tol", None)
-        if tol is None:
-            env = os.environ.get("QGLAB_TOL")
-            tol = float(env) if env else hopf.DERIVED_TOL
-        return cls(
-            command=args.command,
-            path=getattr(args, "file", None),
-            axiom_tol=getattr(args, "axiom_tol", hopf.AXIOM_TOL),
-            state_tol=tol,
-            seed=getattr(args, "seed", checks.DEFAULT_SEED),
-            fmt=getattr(args, "fmt", "text"),
-            out=getattr(args, "out", None),
-            strategy=getattr(args, "strategy", "auto"),
-            name=getattr(args, "name", None),
-        )
-
-
 def _dumps(obj) -> str:
     return hopf.report_json(obj) + "\n"
 
@@ -77,17 +39,27 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(sub: argparse.ArgumentParser, with_file: bool = True) -> None:
-    sub.add_argument("--tol", type=float, default=None,
-                     help="tolerance for derived quantities "
-                          f"(default {hopf.DERIVED_TOL:g}, or QGLAB_TOL)")
-    sub.add_argument("--axiom-tol", type=float, default=hopf.AXIOM_TOL,
-                     help="tolerance for structural axioms")
+def _positive_float(text: str) -> float:
+    """A tolerance: a float above zero, so not NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--tol", type=_positive_float, default=hopf.DERIVED_TOL,
+                     help="tolerance for derived quantities, a positive number "
+                          f"(default {hopf.DERIVED_TOL:g})")
+    sub.add_argument("--axiom-tol", type=_positive_float, default=hopf.AXIOM_TOL,
+                     help="tolerance for structural axioms, a positive number")
     sub.add_argument("--format", choices=("json", "dot", "text"),
                      default="text", dest="fmt")
     sub.add_argument("--out", default=None, help="write output to this path")
-    if with_file:
-        sub.add_argument("file", help="quantum-group JSON file")
+    sub.add_argument("file", help="quantum-group JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,19 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(config: RunConfig) -> hopf.FiniteQuantumGroup:
-    if not config.path or not os.path.exists(config.path):
-        raise hopf.ParseError(f"no such file: {config.path}")
-    return hopf.load_path(config.path)
+def _load(args: argparse.Namespace) -> hopf.FiniteQuantumGroup:
+    if not os.path.exists(args.file):
+        raise hopf.ParseError(f"no such file: {args.file}")
+    return hopf.load_path(args.file)
 
 
-def _load_valid(config: RunConfig) -> hopf.FiniteQuantumGroup:
+def _load_valid(args: argparse.Namespace) -> hopf.FiniteQuantumGroup:
     """The input with its invariant state, once it passes every axiom."""
-    group = hopf.with_haar(_load(config))
-    report = hopf.validate(group, tol=config.axiom_tol, fail_fast=True)
+    group = hopf.with_haar(_load(args))
+    report = hopf.validate(group, tol=args.axiom_tol, fail_fast=True)
     if not report.passed:
         raise AxiomFailure(f"not a quantum group: {report.failing()[0]} "
-                           f"fails at axiom-tol {config.axiom_tol:g}")
+                           f"fails at axiom-tol {args.axiom_tol:g}")
     return group
 
 
@@ -152,36 +124,36 @@ def _state_record(state) -> dict:
     }
 
 
-def cmd_validate(config: RunConfig) -> int:
-    group = _load(config)
-    report = hopf.validate(hopf.with_haar(group), tol=config.axiom_tol)
-    if config.fmt == "json":
+def cmd_validate(args: argparse.Namespace) -> int:
+    group = _load(args)
+    report = hopf.validate(hopf.with_haar(group), tol=args.axiom_tol)
+    if args.fmt == "json":
         doc = {"tol": report.tol,
                "passed": report.passed,
                "checks": [{"name": c.name, "residual": c.residual,
                            "passed": c.passed} for c in report.checks]}
-        _emit(_dumps(doc), config.out)
+        _emit(_dumps(doc), args.out)
     else:
-        _emit(str(report) + "\n", config.out)
+        _emit(str(report) + "\n", args.out)
     if not report.passed:
         sys.stderr.write(f"validation failed: {report.failing()[0]}\n")
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def cmd_examples(config: RunConfig) -> int:
-    group = catalog.builtin(config.name)
-    out = config.out or f"{config.name}.json"
+def cmd_examples(args: argparse.Namespace) -> int:
+    group = catalog.builtin(args.name)
+    out = args.out or f"{args.name}.json"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(hopf.save(group) + "\n")
     sys.stderr.write(f"wrote {out}\n")
     return EXIT_OK
 
 
-def cmd_idempotents(config: RunConfig) -> int:
-    group = _load(config)
+def cmd_idempotents(args: argparse.Namespace) -> int:
+    group = _load(args)
     enum = lattice.enumerate_idempotents(
-        group, strategy=config.strategy, tol=config.state_tol)
+        group, strategy=args.strategy, tol=args.tol)
     doc = {
         "group_hash": hopf.group_hash(hopf.with_haar(group)),
         "report": {
@@ -193,25 +165,25 @@ def cmd_idempotents(config: RunConfig) -> int:
     }
     if enum.report.generated is not None:
         doc["report"]["generated"] = enum.report.generated
-    if config.fmt == "json":
-        _emit(_dumps(doc), config.out)
+    if args.fmt == "json":
+        _emit(_dumps(doc), args.out)
     else:
         lines = [f"{len(enum.states)} idempotent states "
                  f"({enum.report.strategy}, coverage: {enum.report.coverage})"]
         for s in doc["states"]:
             lines.append(f"  {s['name']:<16} coideal dim {s['coideal_dim']}  "
                          f"haar-type {'yes' if s['haar_type'] else 'no'}")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_lattice(config: RunConfig) -> int:
-    group = _load(config)
+def cmd_lattice(args: argparse.Namespace) -> int:
+    group = _load(args)
     lat = lattice.enumerate_idempotents(
-        group, strategy=config.strategy, tol=config.state_tol).lattice
+        group, strategy=args.strategy, tol=args.tol).lattice
     dot = lattice.to_dot(lat)
-    if config.fmt == "dot":
-        _emit(dot, config.out)
+    if args.fmt == "dot":
+        _emit(dot, args.out)
         return EXIT_OK
     doc = {
         "names": lat.names,
@@ -222,21 +194,21 @@ def cmd_lattice(config: RunConfig) -> int:
         "hasse_edges": [list(e) for e in lat.hasse_edges],
         "dot": dot,
     }
-    if config.fmt == "json":
-        _emit(_dumps(doc), config.out)
+    if args.fmt == "json":
+        _emit(_dumps(doc), args.out)
     else:
         lines = [f"{len(lat.states)} states, {len(lat.hasse_edges)} cover edges"]
         for i, j in lat.hasse_edges:
             lines.append(f"  {lat.names[i]} < {lat.names[j]}")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def cmd_dual(config: RunConfig) -> int:
-    group = _load_valid(config)
-    pair = duality.dual(group, config.state_tol)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def cmd_dual(args: argparse.Namespace) -> int:
+    group = _load_valid(args)
+    pair = duality.dual(group, args.tol)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(hopf.save(pair.dual_group) + "\n")
     report = {
         "w_kind": pair.convention.w_kind,
@@ -245,9 +217,9 @@ def cmd_dual(config: RunConfig) -> int:
         "residuals": {k: float(v) for k, v in
                       sorted(pair.convention.residuals.items())},
     }
-    if config.fmt == "json":
-        report["w"] = pair.w
-        if not config.out:
+    if args.fmt == "json":
+        report["w"] = pair.regular.w
+        if not args.out:
             report["dual_group"] = hopf.group_doc(pair.dual_group)
         sys.stdout.write(_dumps(report))
     else:
@@ -255,23 +227,23 @@ def cmd_dual(config: RunConfig) -> int:
                  f"comult_flip={report['comult_flip']}"]
         for k, v in report["residuals"].items():
             lines.append(f"  {k:<24} {v:.2e}")
-        if not config.out:
+        if not args.out:
             lines.append(hopf.save(pair.dual_group))
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_check(config: RunConfig) -> int:
-    group = _load(config)
+def cmd_check(args: argparse.Namespace) -> int:
+    group = _load(args)
     results = checks.run_all_checks(
-        group, axiom_tol=config.axiom_tol, tol=config.state_tol,
-        seed=config.seed)
-    if config.fmt == "json":
+        group, axiom_tol=args.axiom_tol, tol=args.tol,
+        seed=args.seed)
+    if args.fmt == "json":
         doc = [{"key": r.key, "passed": r.passed, "residual": r.residual,
                 "detail": r.detail, "internal": r.internal} for r in results]
-        _emit(_dumps(doc), config.out)
+        _emit(_dumps(doc), args.out)
     else:
-        _emit(checks.summary(results) + "\n", config.out)
+        _emit(checks.summary(results) + "\n", args.out)
     failing = [r for r in results if not r.passed]
     if any(r.internal for r in failing):
         sys.stderr.write(f"internal inconsistency: {failing[0].key}\n")
@@ -293,16 +265,14 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     internal = (CriteriaDisagree, InternalInconsistency, ConventionFailure)
     try:
-        config = RunConfig.from_args(args)
         try:
-            return _DISPATCH[config.command](config)
+            return _DISPATCH[args.command](args)
         except internal:
             # on a file that fails an axiom the fault is the input's: exit 2
-            _load_valid(config)
+            _load_valid(args)
             raise
     except internal as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")

@@ -27,6 +27,7 @@ from .harmonic import (
     as_functional,
     expectation_matrix,
     is_idempotent_state,
+    require_same_home,
     state_defects,
     support_projection,
 )
@@ -106,9 +107,6 @@ def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
 
 def coideal_from_span(group, vectors, tol: float = DEFAULT_TOL) -> Coideal:
     """Orthonormalize a spanning set and certify its closure properties."""
-    vectors = np.asarray(vectors, complex)
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
     space = hopf.gns(group)
     basis_gns = orthonormal_columns(space.orthonormal_basis @ vectors)
     basis_alg = space.inverse_basis @ basis_gns
@@ -170,14 +168,13 @@ def expectation(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
     return e
 
 
-def combined_gns_basis(n1: Coideal, n2: Coideal, generate: bool) -> np.ndarray:
-    """GNS-orthonormal basis of the *-subalgebra two coideals generate, or
-    of their intersection.  Generation alternates span closure under
-    multiplication and the involution until the dimension stabilizes.
+def generated_gns_basis(n1: Coideal, n2: Coideal) -> np.ndarray:
+    """GNS-orthonormal basis of the *-subalgebra two coideals generate.
+
+    Generation alternates span closure under multiplication and the
+    involution until the dimension stabilizes.
     """
-    require_same_home_coideals(n1, n2)
-    if not generate:
-        return subspace_intersection(n1.gns_basis(), n2.gns_basis())
+    require_same_home(n1, n2)
     group = n1.home
     space = hopf.gns(group)
     t = space.orthonormal_basis
@@ -195,18 +192,14 @@ def combined_gns_basis(n1: Coideal, n2: Coideal, generate: bool) -> np.ndarray:
 def generated_subalgebra(n1: Coideal, n2: Coideal, tol: float = DEFAULT_TOL) -> Coideal:
     """Smallest *-subalgebra containing both spans, certified."""
     return coideal_from_span(n1.home, hopf.gns(n1.home).inverse_basis
-                             @ combined_gns_basis(n1, n2, True), tol)
+                             @ generated_gns_basis(n1, n2), tol)
 
 
 def intersect(n1: Coideal, n2: Coideal, tol: float = DEFAULT_TOL) -> Coideal:
     """Subspace intersection, recertified."""
-    return coideal_from_span(n1.home, hopf.gns(n1.home).inverse_basis
-                             @ combined_gns_basis(n1, n2, False), tol)
-
-
-def require_same_home_coideals(n1: Coideal, n2: Coideal) -> None:
-    if n1.home is not n2.home and hopf.group_hash(n1.home) != hopf.group_hash(n2.home):
-        raise InternalInconsistency("coideals live on different quantum groups")
+    require_same_home(n1, n2)
+    basis = subspace_intersection(n1.gns_basis(), n2.gns_basis())
+    return coideal_from_span(n1.home, hopf.gns(n1.home).inverse_basis @ basis, tol)
 
 
 def trace_expectation(coid: Coideal) -> np.ndarray:

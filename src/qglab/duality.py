@@ -179,8 +179,6 @@ class ConventionReport:
 class DualPair:
     group: hopf.FiniteQuantumGroup
     dual_group: hopf.FiniteQuantumGroup
-    w: np.ndarray
-    lambda_rep: np.ndarray
     regular: RegularUnitary
     convention: ConventionReport
 
@@ -254,8 +252,7 @@ def dual(group: hopf.FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> DualPair:
     names = tuple(f"comult_flip={c}" for c in candidates)
     report = ConventionReport(w_kind=reg.kind, comult_flip=flip,
                               residuals=res, candidates_passing=names)
-    return DualPair(group=group, dual_group=dual_group, w=reg.w,
-                    lambda_rep=reg.second_legs, regular=reg, convention=report)
+    return DualPair(group=group, dual_group=dual_group, regular=reg, convention=report)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +286,8 @@ def _codual_primal(coid: Coideal, pair: DualPair, tol: float) -> Coideal:
     is convention-stable.
     """
     dual_group = pair.dual_group
-    kernel = nullspace(_codual_system(dual_group.comult, pair.lambda_rep, coid.gns_basis()))
+    kernel = nullspace(_codual_system(dual_group.comult, pair.regular.second_legs,
+                                      coid.gns_basis()))
     out = coideal_from_span(dual_group, kernel, tol)
     if not out.is_coideal:
         raise InternalInconsistency(

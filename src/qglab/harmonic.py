@@ -30,7 +30,6 @@ from .linalg import (
     dagger,
     frob,
     min_eigval,
-    orthonormal_columns,
     sup,
 )
 
@@ -58,12 +57,6 @@ class Functional:
 
     def __call__(self, x) -> complex:
         return complex(np.dot(self.coeffs, np.asarray(x, complex)))
-
-    def hermitian_defect(self) -> float:
-        return frob(self.home.star.T @ self.coeffs - np.conj(self.coeffs))
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.hermitian_defect() < tol
 
     def distance(self, other: "Functional") -> float:
         """Sup-norm distance of coefficient vectors."""
@@ -226,20 +219,12 @@ def haar_type_test(phi, tol: float = DEFAULT_TOL) -> bool:
     phi = as_functional(phi)
     group = phi.home
     kernel = left_kernel_basis(phi, tol)
-    if kernel.shape[1] == 0:
-        return True
-    eye = np.eye(group.dim)
-    for v in kernel.T:
-        stars = group.adjoint(v)
-        if containment_defect(kernel, stars[:, None]) > np.sqrt(tol):
-            return False
-        for j in range(group.dim):
-            w = group.multiply(v, eye[j])
-            if frob(w) < tol:
-                continue
-            if containment_defect(kernel, w[:, None]) > np.sqrt(tol):
-                return False
-    return True
+    n, d = kernel.shape
+    # the adjoints v*, then every product v e_j that is not numerically zero
+    stars = group.star @ np.conj(kernel)
+    products = (kernel.T @ group.mult.reshape(n, n * n)).reshape(d * n, n).T
+    products = products[:, np.linalg.norm(products, axis=0) >= tol]
+    return containment_defect(kernel, np.hstack([stars, products])) <= np.sqrt(tol)
 
 
 # ----------------------------------------------------------------------
@@ -273,9 +258,6 @@ class IdempotentState:
     def name(self) -> str | None:
         return self.functional.name
 
-    def __call__(self, x) -> complex:
-        return self.functional(x)
-
     def distance(self, other) -> float:
         return self.functional.distance(as_functional(other))
 
@@ -288,31 +270,19 @@ def as_functional(phi) -> Functional:
     raise TypeError(f"expected a functional, got {type(phi).__name__}")
 
 
-def _order_data(phi):
-    """(functional, expectation matrix, L2 range basis, L2 projection)."""
-    if isinstance(phi, IdempotentState):
-        return (phi.functional, phi.conditional_expectation,
-                phi.coideal.gns_basis(), phi.l2_projection)
-    f = as_functional(phi)
-    e = expectation_matrix(f)
-    space = hopf.gns(f.home)
-    image = orthonormal_columns(space.orthonormal_basis @ e)
-    return f, e, image, image @ dagger(image)
-
-
-def preceq(mu, nu, tol: float = DEFAULT_TOL) -> bool:
+def preceq(mu: IdempotentState, nu: IdempotentState,
+           tol: float = DEFAULT_TOL) -> bool:
     """Domination order on idempotent states: mu precedes nu.
 
     Evaluates all four equivalent criteria (convolution absorption,
     composition of expectations, reversed range containment, ordering of
     the orthogonal projections) and demands they agree.
     """
-    fmu, emu, nmu, pmu = _order_data(mu)
-    fnu, enu, nnu, pnu = _order_data(nu)
-    require_same_home(fmu, fnu)
-    r1 = sup(convolve(fmu, fnu).coeffs - fnu.coeffs)
+    emu, enu = mu.conditional_expectation, nu.conditional_expectation
+    pmu, pnu = mu.l2_projection, nu.l2_projection
+    r1 = sup(convolve(mu.functional, nu.functional).coeffs - nu.coeffs)
     r2 = frob(emu @ enu - enu)
-    r3 = containment_defect(nmu, nnu)
+    r3 = containment_defect(mu.coideal.gns_basis(), nu.coideal.gns_basis())
     r4 = frob(pmu @ pnu - pnu)
     answers = [r1 < tol, r2 < tol, r3 < tol, r4 < tol]
     if len(set(answers)) != 1:

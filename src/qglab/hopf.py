@@ -121,9 +121,6 @@ class FiniteQuantumGroup:
         xym = np.tensordot(xm, np.asarray(y, complex), axes=([1], [0]))
         return np.tensordot(xym, self.mult, axes=([0, 2], [0, 1]))
 
-    def tensor_adjoint(self, x) -> np.ndarray:
-        return self.star @ np.conj(np.asarray(x, complex)) @ self.star.T
-
 
 # ----------------------------------------------------------------------
 # cached derived tensors
@@ -480,58 +477,61 @@ def _pair_array(arr) -> np.ndarray:
     return np.stack([arr.real, arr.imag], axis=-1) + 0.0
 
 
-def complex_pairs(arr: np.ndarray):
-    """Nested [re, im] lists of a complex array; negative zeros print as 0.0."""
-    return _pair_array(arr).tolist()
+def _pairs_json(arr: np.ndarray, indent: str | None, level: int) -> str:
+    """The JSON of arr's nested [re, im] pairs, written at nesting level.
 
-
-def _pairs_json(arr: np.ndarray, level: int) -> str:
-    """The indented JSON of complex_pairs(arr), written at nesting level.
-
-    One C-encoder call renders every float; the nesting is then assembled
-    with one join pass per level, innermost first.
+    One C-encoder call renders every float; the indented form is then
+    assembled with one join pass per level, innermost first.
     """
     pairs = _pair_array(arr)
+    if indent is None:
+        return json.dumps(pairs.tolist(), separators=(",", ":"))
     items = json.dumps(pairs.ravel().tolist())[1:-1].split(", ")
     for depth in range(pairs.ndim - 1, -1, -1):
-        inner = "\n" + "  " * (level + depth + 1)
+        inner = "\n" + indent * (level + depth + 1)
         head, sep = "[" + inner, "," + inner
-        close = "\n" + "  " * (level + depth) + "]"
+        close = "\n" + indent * (level + depth) + "]"
         # zip over one iterator, repeated, yields consecutive groups
         groups = zip(*[iter(items)] * pairs.shape[depth])
         items = [head + sep.join(group) + close for group in groups]
     return items[0]
 
 
-def report_json(obj, level: int = 0) -> str:
-    """Indented report text: json.dumps(obj, sort_keys=True, indent=2).
+def report_json(obj, indent: str | None = "  ", level: int = 0) -> str:
+    """JSON text of obj with sorted keys, indented or compact.
 
-    The bytes are those of the standard encoder, written at nesting level,
-    with every ndarray (none of them empty) written as the [re, im] pairs
-    of complex_pairs; arrays are rendered in bulk, so a report's tensors
-    cost one C-encoder call each.  Keys must be str.
+    The bytes are those of json.dumps(obj, sort_keys=True, indent=indent),
+    written at nesting level, and with indent=None those of the compact
+    json.dumps(obj, sort_keys=True, separators=(",", ":")): no newlines.
+    Every ndarray (none of them empty) is written as the nested [re, im]
+    pairs of its entries, negative zeros as 0.0, in bulk: one C-encoder
+    call per array.  Keys must be str.
     """
     if isinstance(obj, np.ndarray):
-        return _pairs_json(obj, level)
+        return _pairs_json(obj, indent, level)
+    colon = ":" if indent is None else ": "
     if isinstance(obj, dict):
-        items = [json.dumps(key) + ": " + report_json(obj[key], level + 1)
+        items = [json.dumps(key) + colon + report_json(obj[key], indent, level + 1)
                  for key in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items = [report_json(x, level + 1) for x in obj]
+        items = [report_json(x, indent, level + 1) for x in obj]
         brackets = "[]"
     else:
         return json.dumps(obj)
     if not items:
         return brackets
-    inner = "\n" + "  " * (level + 1)
+    if indent is None:
+        return brackets[0] + ",".join(items) + brackets[1]
+    inner = "\n" + indent * (level + 1)
     return (brackets[0] + inner + ("," + inner).join(items)
-            + "\n" + "  " * level + brackets[1])
+            + "\n" + indent * level + brackets[1])
 
 
 def _complex_at(obj, path: str) -> complex:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, (int, float)) for x in obj)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in obj)):
         raise ParseError(f"{path}: expected [re, im] pair")
     try:
         return complex(float(obj[0]), float(obj[1]))
@@ -553,18 +553,18 @@ def _tensor_at(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
 def _tensor(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
     """A field's complex tensor from its nested [re, im] lists.
 
-    One np.array call converts a well-formed field; anything else goes to
-    the walker, which names the first bad path.  A NaN or infinite entry
-    is bad input too, named by its index.
+    One np.array call reads a well-formed field, whose leaves are all JSON
+    numbers; anything else, a boolean leaf included, goes to the walker,
+    which names the first bad path.  A NaN or infinite entry is bad input
+    too, named by its index.
     """
-    try:
-        pairs = np.array(obj)
-    except ValueError:  # ragged nesting
-        pairs = None
-    if (pairs is not None and pairs.shape == shape + (2,)
-            and pairs.dtype.kind in "biuf"):
-        out = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-    else:
+    try:  # ValueError: ragged nesting; OverflowError: an int beyond float range
+        pairs = np.array(obj, dtype=object)
+        if (pairs.shape != shape + (2,)
+                or not set(map(type, pairs.ravel().tolist())) <= {int, float}):
+            raise ValueError(f"{path}: not an array of numbers")
+        out = pairs.astype(float).view(complex)[..., 0]
+    except (ValueError, OverflowError):
         out = _tensor_at(obj, shape, path)
     if not np.isfinite(out).all():
         first = np.argwhere(~np.isfinite(out))[0]
@@ -591,14 +591,13 @@ def group_doc(group: FiniteQuantumGroup) -> dict:
     return doc
 
 
-def save_dict(group: FiniteQuantumGroup) -> dict:
-    return {key: complex_pairs(value) if isinstance(value, np.ndarray) else value
-            for key, value in group_doc(group).items()}
-
-
 def save(group: FiniteQuantumGroup) -> str:
-    """Canonical JSON text; stable bytes for hashing and round-trips."""
-    return json.dumps(save_dict(group), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text; stable bytes for hashing and round-trips.
+
+    The compact form of report_json on the group's document: sorted keys,
+    "," and ":" separators, no newlines.
+    """
+    return report_json(group_doc(group), indent=None)
 
 
 def load_dict(doc: dict) -> FiniteQuantumGroup:

@@ -31,7 +31,7 @@ from . import catalog, duality, hopf
 from .coideal import (
     as_idempotent_state,
     coideal_from_span,
-    combined_gns_basis,
+    generated_gns_basis,
     generated_subalgebra,
     intersect,
     state_from_coideal,
@@ -47,7 +47,7 @@ from .harmonic import (
     require_same_home,
     sup,
 )
-from .linalg import _rank, dagger, frob
+from .linalg import _rank, dagger, frob, subspace_intersection
 
 STRATEGIES = ("auto", "catalog", "generated")
 _SEED_STREAM = 0   # the generated seeds' fixed stream; no option reaches it
@@ -181,8 +181,8 @@ def _close(states, tol):
         for i in range(size):
             for j in range(max(i, done), size):
                 a, b = states[i].coideal, states[j].coideal
-                meets[i, j] = index_of(combined_gns_basis(a, b, True))
-                joins[i, j] = index_of(combined_gns_basis(a, b, False))
+                meets[i, j] = index_of(generated_gns_basis(a, b))
+                joins[i, j] = index_of(subspace_intersection(a.gns_basis(), b.gns_basis()))
         done = size
         if len(states) > states[0].home.dim ** 2 + 4:
             raise InternalInconsistency("closure under meet/join is not stabilizing")
@@ -206,43 +206,31 @@ def _lattice_from_tables(states, meet_table, join_table,
     are not checked separately.  Violations are internal errors.
     """
     k = len(states)
-    order = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            order[i, j] = preceq(states[i], states[j], tol)
-    for i in range(k):
-        if not order[i, i]:
-            raise InternalInconsistency("order is not reflexive")
-        for j in range(k):
-            if i != j and order[i, j] and order[j, i]:
-                raise InternalInconsistency("order is not antisymmetric; duplicates?")
-            for l in range(k):
-                if order[i, j] and order[j, l] and not order[i, l]:
-                    raise InternalInconsistency("order is not transitive")
+    order = np.array([[preceq(a, b, tol) for b in states] for a in states],
+                     dtype=bool).reshape(k, k)
+    strict = order & ~np.eye(k, dtype=bool)
+    if not order.diagonal().all():
+        raise InternalInconsistency("order is not reflexive")
+    if (strict & strict.T).any():
+        raise InternalInconsistency("order is not antisymmetric; duplicates?")
+    if ((order @ order) & ~order).any():
+        raise InternalInconsistency("order is not transitive")
 
-    for i in range(k):
-        for j in range(k):
-            lower = [l for l in range(k) if order[l, i] and order[l, j]]
-            m = meet_table[i, j]
-            if m not in lower or not all(order[l, m] for l in lower):
-                raise InternalInconsistency(
-                    "meet is not the largest common lower bound")
-            upper = [l for l in range(k) if order[i, l] and order[j, l]]
-            jn = join_table[i, j]
-            if jn not in upper or not all(order[jn, l] for l in upper):
-                raise InternalInconsistency(
-                    "join is not the smallest common upper bound")
+    # [i, j, l]: l is a common lower (upper) bound of i and j
+    lower = order.T[:, None, :] & order.T[None, :, :]
+    upper = order[:, None, :] & order[None, :, :]
+    i, j = np.indices((k, k))
+    # a bound that every common bound precedes (follows); order.T[t][i, j, l]
+    # is order[l, t[i, j]]
+    if not (lower[i, j, meet_table].all() and (order.T[meet_table] | ~lower).all()):
+        raise InternalInconsistency("meet is not the largest common lower bound")
+    if not (upper[i, j, join_table].all() and (order[join_table] | ~upper).all()):
+        raise InternalInconsistency("join is not the smallest common upper bound")
 
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not order[i, j]:
-                continue
-            if any(l not in (i, j) and order[i, l] and order[l, j] for l in range(k)):
-                continue
-            edges.append((i, j))
+    covers = strict & ~(strict @ strict)
+    edges = [(int(a), int(b)) for a, b in np.argwhere(covers)]
     return IdempotentLattice(states=states, order=order, meet_table=meet_table,
-                             join_table=join_table, hasse_edges=sorted(edges))
+                             join_table=join_table, hasse_edges=edges)
 
 
 def build_lattice(states, tol: float = DEFAULT_TOL) -> IdempotentLattice:

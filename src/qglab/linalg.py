@@ -35,29 +35,18 @@ def min_eigval(a: np.ndarray) -> float:
 
 
 def _rank(s: np.ndarray, rel_tol: float) -> int:
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * max(float(s[0]), 1.0)))
+    """The count of singular values s (descending) above rel_tol * max(s[0], 1)."""
+    return int(np.count_nonzero(s > rel_tol * s.max(initial=1.0)))
 
 
 def orthonormal_columns(cols: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
     """SVD-orthonormalized basis of the column space, rank-truncated."""
-    cols = np.asarray(cols, dtype=complex)
-    if cols.ndim == 1:
-        cols = cols[:, None]
-    if cols.shape[1] == 0:
-        return cols
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     return u[:, :_rank(s, rel_tol)]
 
 
 def nullspace(a: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the kernel (columns)."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim == 1:
-        a = a[None, :]
-    if a.size == 0:
-        return np.eye(a.shape[1], dtype=complex)
     # economy SVD keeps vh complete whenever there are at least as many
     # rows as columns; a wide matrix needs the full version
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
@@ -71,9 +60,6 @@ def projector(basis: np.ndarray) -> np.ndarray:
 
 def containment_defect(big: np.ndarray, vectors: np.ndarray) -> float:
     """max over columns v of ||(1 - P_big) v|| / ||v||."""
-    vectors = np.asarray(vectors, dtype=complex)
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
     if vectors.shape[1] == 0:
         return 0.0
     resid = vectors - projector(big) @ vectors

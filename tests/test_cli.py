@@ -53,7 +53,7 @@ def test_validate_json_format(s3_file, capsys):
 
 
 def test_validate_broken_file_names_axiom(tmp_path, capsys):
-    doc = hopf.save_dict(catalog.builtin("c_z2"))
+    doc = json.loads(hopf.save(catalog.builtin("c_z2")))
     doc["mult"][0][0][0] = [1.001, 0.0]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -64,7 +64,7 @@ def test_validate_broken_file_names_axiom(tmp_path, capsys):
 
 
 def test_dual_of_broken_file_is_input_error(tmp_path, capsys):
-    doc = hopf.save_dict(catalog.builtin("c_z2"))
+    doc = json.loads(hopf.save(catalog.builtin("c_z2")))
     doc["mult"][0][0][0] = [1.001, 0.0]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -78,7 +78,7 @@ def test_dual_of_broken_file_is_input_error(tmp_path, capsys):
 def test_commands_reject_a_file_failing_an_axiom(tmp_path, capsys, command):
     # a bumped coproduct entry breaks the counit law; the pipeline's failure
     # on it is reported as bad input that names the axiom, not as a bug
-    doc = hopf.save_dict(catalog.builtin("c_s3"))
+    doc = json.loads(hopf.save(catalog.builtin("c_s3")))
     doc["comult"][1][0][1] = [1.001, 0.0]
     path = tmp_path / "bumped.json"
     path.write_text(json.dumps(doc))
@@ -97,7 +97,7 @@ def test_commands_reject_a_file_failing_an_axiom(tmp_path, capsys, command):
 def test_commands_reject_non_finite_entry(tmp_path, capsys, command, value,
                                            field, index):
     # json reads the NaN and Infinity tokens; the load names the entry
-    doc = hopf.save_dict(catalog.builtin("c_s3"))
+    doc = json.loads(hopf.save(catalog.builtin("c_s3")))
     entry = doc[field]
     for i in index[:-1]:
         entry = entry[i]
@@ -173,6 +173,34 @@ def test_idempotents_and_lattice_run_no_convolution_loop(s3_file, capsys,
     assert calls == []
 
 
+def test_idempotents_and_lattice_default_to_text(s3_file, capsys):
+    code, out, _ = run(capsys, "idempotents", s3_file)
+    assert code == cli.EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "6 idempotent states (catalog, coverage: catalog)"
+    assert len(lines) == 7
+    assert all(re.match(r"^  \S+ +coideal dim \d+  haar-type (yes|no)$", x)
+               for x in lines[1:])
+
+    code, out, _ = run(capsys, "lattice", s3_file)
+    assert code == cli.EXIT_OK
+    lines = out.splitlines()
+    assert re.match(r"^6 states, (\d+) cover edges$", lines[0])
+    edges = int(lines[0].split()[2])
+    assert len(lines) == 1 + edges
+    assert all(re.match(r"^  \S+ < \S+$", x) for x in lines[1:])
+
+
+def test_dual_text_without_out_ends_with_the_dual_group(s3_file, capsys):
+    code, out, _ = run(capsys, "dual", s3_file)
+    assert code == cli.EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "convention: coproduct-first-factor, comult_flip=False"
+    assert all(re.match(r"^  \S+ +\d\.\d\de[-+]\d+$", x) for x in lines[1:-1])
+    dual_group = hopf.loads(lines[-1])
+    assert np.allclose(dual_group.mult, catalog.builtin("cg_s3").mult)
+
+
 def test_lattice_out_file(s3_file, tmp_path, capsys):
     target = tmp_path / "lat.dot"
     code, out, _ = run(capsys, "lattice", s3_file, "--format", "dot",
@@ -225,22 +253,20 @@ def test_check_json_format(z2_file, capsys):
             "duality-exchange", "modular-law"} <= keys
 
 
-def test_qglab_tol_env(monkeypatch, z2_file, capsys):
-    monkeypatch.setenv("QGLAB_TOL", "1e-6")
-    code, out, _ = run(capsys, "idempotents", z2_file, "--format", "json")
-    assert code == 0  # env tolerance flows through without changing results
-    assert len(json.loads(out)["states"]) == 2
-
-
 def test_unknown_example_name_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main(["examples", "nope"])
 
 
 def test_nonpositive_tolerance_is_input_error(z2_file, capsys):
-    code, _, err = run(capsys, "validate", z2_file, "--tol", "-1")
-    assert code == 2
-    assert "positive" in err
+    # argparse's usage error: exit 2 before any command runs
+    for flag in ("--tol", "--axiom-tol"):
+        for value in ("-1", "0", "nan", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["validate", z2_file, flag, value])
+            assert exc.value.code == cli.EXIT_INPUT_ERROR
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be a positive number, got '{value}'" in err
 
 
 def test_internal_inconsistency_maps_to_exit_3(z2_file, capsys, monkeypatch):
@@ -272,13 +298,21 @@ def test_check_exit_code_follows_the_failure_kind(z2_file, capsys, monkeypatch,
     assert "FAIL (commutation-equivalences)" in out
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        cli.RunConfig(command="check", path=None, state_tol=-1.0)
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize("leaf", ["[true, false]", "[true, 0.0]", "[0.0, false]"])
+def test_commands_reject_boolean_entry(tmp_path, capsys, command, leaf):
+    doc = json.loads(hopf.save(catalog.builtin("c_s3")))
+    doc["comult"][0][0][0] = "__leaf__"
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(doc).replace('"__leaf__"', leaf))
+    code, out, err = run(capsys, command, str(path))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "error: comult[0][0][0]: expected [re, im] pair" in err
+    assert out == ""
 
 
 def test_haar_less_file_works(tmp_path, capsys):
-    doc = hopf.save_dict(catalog.builtin("c_s3"))
+    doc = json.loads(hopf.save(catalog.builtin("c_s3")))
     del doc["haar"]
     path = tmp_path / "nohaar.json"
     path.write_text(json.dumps(doc))

@@ -301,7 +301,8 @@ def test_codual_system_on_the_basis_matches_the_projection(name):
     n = g.dim
     for s in lattice.enumerate_idempotents(g).states:
         basis = s.coideal.gns_basis()
-        systems = [duality._codual_system(pair.dual_group.comult, pair.lambda_rep, m)
+        legs = pair.regular.second_legs
+        systems = [duality._codual_system(pair.dual_group.comult, legs, m)
                    for m in (basis @ dagger(basis), basis)]
         assert systems[1].shape == (n ** 3 * s.coideal.dim, n)
         by_p, by_b = (np.linalg.svd(m, compute_uv=False) for m in systems)

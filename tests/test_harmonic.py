@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qglab import catalog, coideal, harmonic, hopf
+from qglab import catalog, coideal, harmonic, hopf, lattice
 from qglab.errors import HomeMismatch, NotAProjection, NotAState, ZeroMass
-from conftest import s3_subgroup
+from qglab.linalg import containment_defect, frob
+from conftest import dihedral_table, s3_subgroup
+from test_quantum_example import build_quantum_example
 
 
 def measure(group, weights):
@@ -186,6 +188,35 @@ def test_haar_type_group_algebra_matches_normality(cg_s3):
         sub = catalog.subgroup_of_state("cg_s3", f.coeffs)
         expected = catalog.is_normal([list(r) for r in table], sub)
         assert harmonic.haar_type_test(f) == expected
+
+
+def reference_haar_type(phi, tol=harmonic.DEFAULT_TOL):
+    # the per-vector loop that haar_type_test's one containment replaced
+    phi = harmonic.as_functional(phi)
+    group = phi.home
+    kernel = harmonic.left_kernel_basis(phi, tol)
+    for v in kernel.T:
+        if containment_defect(kernel, group.adjoint(v)[:, None]) > np.sqrt(tol):
+            return False
+        for e in np.eye(group.dim):
+            w = group.multiply(v, e)
+            if frob(w) >= tol and containment_defect(kernel, w[:, None]) > np.sqrt(tol):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "cg_z4", "kp", "cg_d4", "c_d4"])
+def test_haar_type_matches_the_per_vector_loop(name):
+    group = {"kp": build_quantum_example,
+             "cg_d4": lambda: hopf.group_algebra(dihedral_table(4)),
+             "c_d4": lambda: hopf.function_algebra(dihedral_table(4)),
+             }.get(name, lambda: catalog.builtin(name))()
+    states = lattice.enumerate_idempotents(group).states
+    verdicts = [harmonic.haar_type_test(s) for s in states]
+    assert verdicts == [reference_haar_type(s) for s in states]
+    # KP has two states that are not of Haar type, and a group algebra one
+    # per non-normal subgroup
+    assert all(verdicts) == (name in ("c_s3", "cg_z4", "c_d4"))
 
 
 def test_haar_type_null_space_oracle(cg_s3):

@@ -356,6 +356,136 @@ def test_to_dot_syntax(c_s3):
     assert sum(1 for line in lines if edge.match(line)) == len(lat.hasse_edges)
 
 
+# every way the lattice verifier can refuse: each raise is forced once on
+# the catalog lattice of C(S3), whose states[0] is the counit (the least
+# state) and states[-1] the Haar state (the greatest)
+
+@functools.cache
+def s3_lattice():
+    return lattice.enumerate_idempotents(catalog.builtin("c_s3"), strategy="catalog").lattice
+
+
+def verify_tables(states, meet_table, join_table):
+    return lattice._lattice_from_tables(states, meet_table, join_table,
+                                        harmonic.DEFAULT_TOL)
+
+
+def test_lattice_verifier_rejects_a_duplicated_state():
+    lat = s3_lattice()
+    k = len(lat.states) + 1
+    with pytest.raises(InternalInconsistency,
+                       match=r"^order is not antisymmetric; duplicates\?$"):
+        verify_tables(lat.states + [lat.states[1]], np.zeros((k, k), dtype=int),
+                      np.zeros((k, k), dtype=int))
+
+
+@pytest.mark.parametrize("table, message", [
+    ("meet", "meet is not the largest common lower bound"),
+    ("join", "join is not the smallest common upper bound"),
+])
+def test_lattice_verifier_rejects_a_swapped_entry(table, message):
+    lat = s3_lattice()
+    last = len(lat.states) - 1
+    # the pair (least, greatest) swaps its entry with a diagonal pair's
+    fixed = (last, last) if table == "meet" else (0, 0)
+    original = getattr(lat, f"{table}_table")
+    swapped = original.copy()
+    swapped[0, last], swapped[fixed] = original[fixed], original[0, last]
+    assert swapped[0, last] != original[0, last]
+    tables = {"meet": lat.meet_table, "join": lat.join_table, table: swapped}
+    with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+        verify_tables(lat.states, tables["meet"], tables["join"])
+
+
+def test_lattice_verifier_rejects_a_non_reflexive_order(monkeypatch):
+    lat = s3_lattice()
+    real = lattice.preceq
+    monkeypatch.setattr(lattice, "preceq",
+                        lambda a, b, tol: a is not b and real(a, b, tol))
+    with pytest.raises(InternalInconsistency, match="^order is not reflexive$"):
+        verify_tables(lat.states, lat.meet_table, lat.join_table)
+
+
+def test_lattice_verifier_rejects_a_non_transitive_order(monkeypatch):
+    lat = s3_lattice()
+    least, greatest = lat.states[0], lat.states[-1]
+    real = lattice.preceq
+    monkeypatch.setattr(lattice, "preceq", lambda a, b, tol: (
+        not (a is least and b is greatest) and real(a, b, tol)))
+    with pytest.raises(InternalInconsistency, match="^order is not transitive$"):
+        verify_tables(lat.states, lat.meet_table, lat.join_table)
+
+
+def reference_verdict(order, meet_table, join_table):
+    # the k**3 loops the verifier's array expressions replaced: the first
+    # property that fails, in the verifier's order, or else the Hasse edges
+    r = range(len(order))
+
+    def not_extremal(table, below):
+        for i in r:
+            for j in r:
+                bounds = [l for l in r if below(l, i) and below(l, j)]
+                if table[i, j] not in bounds or not all(below(l, table[i, j])
+                                                        for l in bounds):
+                    return True
+        return False
+
+    failing = [
+        ("order is not reflexive", not all(order[i, i] for i in r)),
+        ("order is not antisymmetric; duplicates?",
+         any(i != j and order[i, j] and order[j, i] for i in r for j in r)),
+        ("order is not transitive", any(order[i, j] and order[j, l] and not order[i, l]
+                                        for i in r for j in r for l in r)),
+        ("meet is not the largest common lower bound",
+         not_extremal(meet_table, lambda a, b: order[a, b])),
+        ("join is not the smallest common upper bound",
+         not_extremal(join_table, lambda a, b: order[b, a])),
+    ]
+    for message, failed in failing:
+        if failed:
+            return message
+    return [(i, j) for i in r for j in r if i != j and order[i, j] and not any(
+        l not in (i, j) and order[i, l] and order[l, j] for l in r)]
+
+
+def test_lattice_verifier_matches_the_loops(monkeypatch):
+    # random families of subsets ordered by inclusion, with the tables of
+    # intersection and union where the family holds them, then one entry of
+    # the order or of a table overwritten at random; the verifier reads the
+    # order through preceq, patched to look it up
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(400):
+        masks = rng.integers(0, 8, size=rng.integers(1, 7)).tolist()
+        k = len(masks)
+        order = np.array([[a & ~b == 0 for b in masks] for a in masks])
+        meet = np.array([[masks.index(a & b) if a & b in masks else rng.integers(k)
+                          for b in masks] for a in masks])
+        join = np.array([[masks.index(a | b) if a | b in masks else rng.integers(k)
+                          for b in masks] for a in masks])
+        target = [order, meet, join, None][rng.integers(4)]
+        if target is not None:
+            i, j = rng.integers(k, size=2)
+            target[i, j] = not target[i, j] if target is order else rng.integers(k)
+        monkeypatch.setattr(lattice, "preceq", lambda a, b, tol: bool(order[a, b]))
+        try:
+            got = verify_tables(list(range(k)), meet, join).hasse_edges
+        except InternalInconsistency as exc:
+            got = str(exc)
+        expected = reference_verdict(order, meet, join)
+        assert got == expected
+        verdicts.add(expected if isinstance(expected, str) else "lattice")
+    assert len(verdicts) == 6   # every raise, and lattices that pass
+
+
+def test_lattice_verifier_accepts_the_catalog_tables():
+    lat = s3_lattice()
+    again = verify_tables(lat.states, lat.meet_table, lat.join_table)
+    assert np.array_equal(again.order, lat.order)
+    assert again.hasse_edges == lat.hasse_edges
+    assert all(type(x) is int for edge in again.hasse_edges for x in edge)
+
+
 # ----------------------------------------------------------------------
 # commutation equivalences and the modular law
 # ----------------------------------------------------------------------
