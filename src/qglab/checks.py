@@ -61,7 +61,7 @@ class CheckContext:
 
     @functools.cached_property
     def coduals(self) -> list[coideal.Coideal]:
-        return [duality.codual(s.coideal, self.pair, "primal", self.tol)
+        return [duality.codual(s.coideal, self.pair, self.tol)
                 for s in self.states]
 
 
@@ -286,13 +286,15 @@ def _double_dual(c):
 
 
 def _dual_support_slice(c):
-    return _largest(frob(duality.slice_first_leg(c.pair.regular, ds.coeffs)
-                         - c.space.represent(s.q_perp))
+    return _largest(frob(c.space.represent(ds.coeffs) - c.space.represent(s.q_perp))
                     for s, ds in zip(c.states, c.dual_states)), ""
 
 
 def _codual_involution(c):
-    backs = [duality.codual(once, c.pair, "dual", c.tol) for once in c.coduals]
+    # the way back: the co-dual over the dual's dual, moved onto the group
+    mirror = duality.dual(c.pair.dual_group, c.tol)
+    backs = [coideal.coideal_from_span(c.group, duality.codual(once, mirror, c.tol).basis,
+                                       c.tol) for once in c.coduals]
     return _largest(subspace_distance(back.gns_basis(), s.coideal.gns_basis())
                     for s, back in zip(c.states, backs)), ""
 
@@ -353,9 +355,9 @@ check_table = [
         f"{len(c.states)} states ({c.enum.report.coverage})")),
     ("dual", STAGE, _dual),
     ("pentagon", 1e-10, lambda c: (
-        c.pair.regular.residuals["pentagon"], f"unitary kind {c.pair.regular.kind}")),
-    ("dual-axioms", _tol, lambda c: (c.pair.convention.residuals["dual-axioms"], "")),
-    ("biduality", _tol, lambda c: (c.pair.convention.residuals["biduality"], "")),
+        c.pair.regular.residuals["pentagon"], f"unitary kind {duality.W_KIND}")),
+    ("dual-axioms", _tol, lambda c: (c.pair.residuals["dual-axioms"], "")),
+    ("biduality", _tol, lambda c: (c.pair.residuals["biduality"], "")),
     ("support-reconstruction", _tol, _per_state(lambda c, s: sup(
         harmonic.state_from_qperp(c.group, s.q_perp).coeffs - s.coeffs))),
     ("support-group-like", _tol, _per_state(lambda c, s: max(

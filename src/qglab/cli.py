@@ -1,9 +1,9 @@
 """Command-line surface: qglab <command> [options] FILE.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 bad input,
-3 internal inconsistency (equivalent criteria disagreed or a pinned
-convention could not be found).  Identical configurations (including the
-seed) produce byte-identical JSON reports.
+Exit codes: 0 all checks pass, 1 a check failed, 2 bad input (a tolerance
+outside (0, 0.01) included), 3 internal inconsistency (equivalent criteria
+disagreed or a certifying battery failed).  Identical configurations
+(including the seed) produce byte-identical JSON reports.
 """
 from __future__ import annotations
 
@@ -39,23 +39,27 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _positive_float(text: str) -> float:
-    """A tolerance: a float above zero, so not NaN."""
+MAX_TOL = 0.01   # so the gap bound 100 * tol < 1, the least distance of unequal-rank projections
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance in (0, MAX_TOL), so not NaN."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    if not 0 < value < MAX_TOL:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number below {MAX_TOL:g}, got {text!r}")
     return value
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=_positive_float, default=hopf.DERIVED_TOL,
-                     help="tolerance for derived quantities, a positive number "
+    sub.add_argument("--tol", type=_tolerance, default=hopf.DERIVED_TOL,
+                     help=f"tolerance for derived quantities, in (0, {MAX_TOL:g}) "
                           f"(default {hopf.DERIVED_TOL:g})")
-    sub.add_argument("--axiom-tol", type=_positive_float, default=hopf.AXIOM_TOL,
-                     help="tolerance for structural axioms, a positive number")
+    sub.add_argument("--axiom-tol", type=_tolerance, default=hopf.AXIOM_TOL,
+                     help=f"tolerance for structural axioms, in (0, {MAX_TOL:g})")
     sub.add_argument("--format", choices=("json", "dot", "text"),
                      default="text", dest="fmt")
     sub.add_argument("--out", default=None, help="write output to this path")
@@ -211,11 +215,8 @@ def cmd_dual(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(hopf.save(pair.dual_group) + "\n")
     report = {
-        "w_kind": pair.convention.w_kind,
-        "comult_flip": pair.convention.comult_flip,
-        "candidates_passing": list(pair.convention.candidates_passing),
-        "residuals": {k: float(v) for k, v in
-                      sorted(pair.convention.residuals.items())},
+        "w_kind": duality.W_KIND,
+        "residuals": {k: float(v) for k, v in sorted(pair.residuals.items())},
     }
     if args.fmt == "json":
         report["w"] = pair.regular.w
@@ -223,8 +224,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
             report["dual_group"] = hopf.group_doc(pair.dual_group)
         sys.stdout.write(_dumps(report))
     else:
-        lines = [f"convention: {report['w_kind']}, "
-                 f"comult_flip={report['comult_flip']}"]
+        lines = [f"convention: {duality.W_KIND}"]
         for k, v in report["residuals"].items():
             lines.append(f"  {k:<24} {v:.2e}")
         if not args.out:

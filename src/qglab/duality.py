@@ -11,8 +11,10 @@ is a cross-check of how W is built.  The dual's tensors are the
 group's tensors transposed, so its unit, counit, antipode, (co)associativity
 and comultiplicativity laws are the group's own laws read backwards; only
 the data the dual adds (its involution and its invariant state) is checked.
-The one convention left open, whether the dual coproduct flips, is pinned
-by biduality on the nose.
+W fixes the dual coproduct as the product transposed; the co-opposite one
+would give the double dual the opposite product and coproduct, so it fails
+biduality unless the group is commutative and cocommutative, where the two
+coincide.  So the dual is built once and certified by one battery.
 """
 from __future__ import annotations
 
@@ -46,8 +48,10 @@ class RegularUnitary:
     group: hopf.FiniteQuantumGroup
     w: np.ndarray
     second_legs: np.ndarray   # second_legs[k] = first-leg matrix paired with e_k
-    kind: str
     residuals: dict[str, float]
+
+
+W_KIND = "coproduct-first-factor"   # W(a (x) b) = coproduct(a)(1 (x) b)
 
 
 def _galois_matrix(group: hopf.FiniteQuantumGroup) -> np.ndarray:
@@ -128,8 +132,7 @@ def regular_unitary(group: hopf.FiniteQuantumGroup,
     res["second-leg-fit"] = fit
     if not all(v < tol for v in res.values()):
         raise ConventionFailure(f"the regular unitary fails its battery: {res}")
-    return RegularUnitary(group=group, w=w, second_legs=legs,
-                          kind="coproduct-first-factor", residuals=res)
+    return RegularUnitary(group=group, w=w, second_legs=legs, residuals=res)
 
 
 def slice_second_leg(reg: RegularUnitary, phi) -> np.ndarray:
@@ -138,23 +141,14 @@ def slice_second_leg(reg: RegularUnitary, phi) -> np.ndarray:
     return np.einsum("k,kab->ab", f.coeffs, reg.second_legs)
 
 
-def slice_first_leg(reg: RegularUnitary, theta_coeffs) -> np.ndarray:
-    """(theta (x) id)(W) for a functional on the dual, given by coefficients."""
-    space = hopf.gns(reg.group)
-    return space.represent(np.asarray(theta_coeffs, complex))
-
-
 # ----------------------------------------------------------------------
 # the dual quantum group
 # ----------------------------------------------------------------------
 
-def build_dual_tensors(group: hopf.FiniteQuantumGroup,
-                       flip: bool) -> hopf.FiniteQuantumGroup:
-    """Transpose the structure onto the dual space; flip mirrors the coproduct."""
-    d, m = group.comult, group.mult
-    mult_hat = np.einsum("kij->ijk", d)
-    comult_hat = (np.einsum("jik->kij", m) if flip
-                  else np.einsum("ijk->kij", m))
+def build_dual_tensors(group: hopf.FiniteQuantumGroup) -> hopf.FiniteQuantumGroup:
+    """Transpose the structure onto the dual space."""
+    mult_hat = np.einsum("kij->ijk", group.comult)
+    comult_hat = np.einsum("ijk->kij", group.mult)
     antipode_hat = group.antipode.T.copy()
     star_hat = group.antipode.T @ group.star.conj().T
     labels = None
@@ -168,19 +162,11 @@ def build_dual_tensors(group: hopf.FiniteQuantumGroup,
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class ConventionReport:
-    w_kind: str
-    comult_flip: bool
-    residuals: dict[str, float]
-    candidates_passing: tuple[str, ...]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class DualPair:
     group: hopf.FiniteQuantumGroup
     dual_group: hopf.FiniteQuantumGroup
     regular: RegularUnitary
-    convention: ConventionReport
+    residuals: dict[str, float]   # the dual's battery and the unitary's
 
 
 # The axioms that read the dual's involution or its computed invariant
@@ -192,7 +178,7 @@ DUAL_ADDS = frozenset({
     "gram-positive"})
 
 
-def _dual_battery(group, dual_group, reg, flip, tol) -> dict[str, float]:
+def _dual_battery(group, dual_group, reg) -> dict[str, float]:
     res = {}
     res["dual-axioms"] = max(float(residual())
                              for name, residual in hopf.axiom_table(dual_group)
@@ -213,7 +199,7 @@ def _dual_battery(group, dual_group, reg, flip, tol) -> dict[str, float]:
                                     - dagger(slice_second_leg(reg, a))))
     res["lambda-homomorphism"] = worst_h
     res["lambda-star"] = worst_s
-    double = build_dual_tensors(dual_group, flip)
+    double = build_dual_tensors(dual_group)
     res["biduality"] = max(
         frob(double.mult - group.mult), frob(double.unit - group.unit),
         frob(double.comult - group.comult), frob(double.counit - group.counit),
@@ -225,7 +211,7 @@ def _dual_battery(group, dual_group, reg, flip, tol) -> dict[str, float]:
 
 @lru_cache(maxsize=16)
 def dual(group: hopf.FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> DualPair:
-    """Construct the dual pair, pinning the coproduct flip by biduality.
+    """Construct the dual pair and certify it by its battery.
 
     The group must already be validated (`hopf.validate`): the dual's
     transposed axioms are not re-checked here.  The dual group of a pair
@@ -233,26 +219,12 @@ def dual(group: hopf.FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> DualPair:
     """
     group = hopf.with_haar(group)
     reg = regular_unitary(group, tol)
-    candidates = []
-    results = {}
-    for flip in (False, True):
-        dual_group = build_dual_tensors(group, flip)
-        res = _dual_battery(group, dual_group, reg, flip, tol)
-        results[flip] = (dual_group, res)
-        if all(v < tol for v in res.values()):
-            candidates.append(flip)
-    if not candidates:
-        raise ConventionFailure(
-            f"no dual convention passes the invariants: "
-            f"{ {k: v[1] for k, v in results.items()} }")
-    flip = candidates[0]
-    dual_group, res = results[flip]
-    res = dict(res)
+    dual_group = build_dual_tensors(group)
+    res = _dual_battery(group, dual_group, reg)
+    if not all(v < tol for v in res.values()):
+        raise ConventionFailure(f"the dual fails its battery: {res}")
     res.update(reg.residuals)
-    names = tuple(f"comult_flip={c}" for c in candidates)
-    report = ConventionReport(w_kind=reg.kind, comult_flip=flip,
-                              residuals=res, candidates_passing=names)
-    return DualPair(group=group, dual_group=dual_group, regular=reg, convention=report)
+    return DualPair(group=group, dual_group=dual_group, regular=reg, residuals=res)
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +246,8 @@ def _codual_system(comult: np.ndarray, legs: np.ndarray,
     return (lhs - rhs).reshape(n, -1).T
 
 
-def _codual_primal(coid: Coideal, pair: DualPair, tol: float) -> Coideal:
-    """Solve the dual-side membership equation against the coideal's L2 basis.
+def codual(coid: Coideal, pair: DualPair, tol: float = DEFAULT_TOL) -> Coideal:
+    """Co-dual of a coideal of the group: the matching coideal of the dual.
 
     The co-dual of a coideal N is the set of dual elements y with
     (coproduct of y)(1 (x) P) = y (x) P, where P = BB* projects L2 onto N
@@ -283,7 +255,9 @@ def _codual_primal(coid: Coideal, pair: DualPair, tol: float) -> Coideal:
     system on B (n**3 r rows, not n**4) has the same kernel.  A commutant
     of the one-sided multiplication image of N lands on the modular-conjugate
     copy instead, which is a coideal for the opposite coproduct; this form
-    is convention-stable.
+    is convention-stable.  The way back is the co-dual over
+    dual(pair.dual_group), whose dual group has the group's tensors, moved
+    onto the group by coideal_from_span.
     """
     dual_group = pair.dual_group
     kernel = nullspace(_codual_system(dual_group.comult, pair.regular.second_legs,
@@ -293,24 +267,6 @@ def _codual_primal(coid: Coideal, pair: DualPair, tol: float) -> Coideal:
         raise InternalInconsistency(
             f"co-dual is not a coideal: defects {out.defects}")
     return out
-
-
-def codual(coid: Coideal, pair: DualPair, side: str = "primal",
-           tol: float = DEFAULT_TOL) -> Coideal:
-    """Co-dual of a coideal: the matching coideal on the other side.
-
-    side="primal" takes a coideal of the group and returns one of the dual
-    (in dual coordinates); side="dual" goes the other way through the
-    double dual, whose coordinates coincide with the original group's.
-    Applying the two in succession returns the original coideal.
-    """
-    if side == "primal":
-        return _codual_primal(coid, pair, tol)
-    if side == "dual":
-        mirror = dual(pair.dual_group, tol)
-        out = _codual_primal(coid, mirror, tol)
-        return coideal_from_span(pair.group, out.basis, tol)
-    raise ValueError(side)  # pragma: no cover
 
 
 # ----------------------------------------------------------------------

@@ -66,7 +66,7 @@ class CriteriaDisagree(QuantumGroupError):
 
 
 class ConventionFailure(QuantumGroupError):
-    """No sign/flip convention satisfies the pinning invariants."""
+    """The regular unitary or the dual fails its certifying battery."""
 
 
 class InternalInconsistency(QuantumGroupError):

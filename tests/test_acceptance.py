@@ -212,7 +212,7 @@ def test_criterion_08_duality():
             ds = duality.dual_state(s, pair)
             back = duality.dual_state(ds, double)
             worst_dd = max(worst_dd, float(np.max(np.abs(back.coeffs - s.coeffs))))
-            sliced = duality.slice_first_leg(pair.regular, ds.coeffs)
+            sliced = space.represent(ds.coeffs)
             worst_slice = max(worst_slice,
                               frob(sliced - space.represent(s.q_perp)))
         for i, a in enumerate(states):

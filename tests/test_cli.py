@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from qglab import catalog, checks, cli, hopf, lattice
+from qglab import catalog, checks, cli, duality, hopf, lattice
 from qglab.errors import CriteriaDisagree, NotPositive
 from test_quantum_example import build_quantum_example
 
@@ -195,7 +196,7 @@ def test_dual_text_without_out_ends_with_the_dual_group(s3_file, capsys):
     code, out, _ = run(capsys, "dual", s3_file)
     assert code == cli.EXIT_OK
     lines = out.splitlines()
-    assert lines[0] == "convention: coproduct-first-factor, comult_flip=False"
+    assert lines[0] == "convention: coproduct-first-factor"
     assert all(re.match(r"^  \S+ +\d\.\d\de[-+]\d+$", x) for x in lines[1:-1])
     dual_group = hopf.loads(lines[-1])
     assert np.allclose(dual_group.mult, catalog.builtin("cg_s3").mult)
@@ -213,7 +214,7 @@ def test_dual_roundtrip(s3_file, tmp_path, capsys):
     target = tmp_path / "dual.json"
     code, out, _ = run(capsys, "dual", s3_file, "--out", str(target))
     assert code == 0
-    assert "comult_flip=False" in out
+    assert out.startswith("convention: coproduct-first-factor\n")
     dual_group = hopf.load_path(target)
     assert hopf.validate(dual_group).passed
     assert np.allclose(dual_group.mult, catalog.builtin("cg_s3").mult)
@@ -223,7 +224,8 @@ def test_dual_json_includes_w(z2_file, capsys):
     code, out, _ = run(capsys, "dual", z2_file, "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["comult_flip"] is False
+    assert set(doc) == {"w_kind", "residuals", "w", "dual_group"}
+    assert doc["w_kind"] == "coproduct-first-factor"
     assert len(doc["w"]) == 4 and len(doc["w"][0]) == 4
     assert "dual_group" in doc
 
@@ -259,14 +261,18 @@ def test_unknown_example_name_rejected(capsys):
 
 
 def test_nonpositive_tolerance_is_input_error(z2_file, capsys):
-    # argparse's usage error: exit 2 before any command runs
-    for flag in ("--tol", "--axiom-tol"):
-        for value in ("-1", "0", "nan", "abc"):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["validate", z2_file, flag, value])
-            assert exc.value.code == cli.EXIT_INPUT_ERROR
-            err = capsys.readouterr().err
-            assert f"argument {flag}: must be a positive number, got '{value}'" in err
+    # argparse's usage error: exit 2 before any command runs.  From 0.01 up
+    # the gap bound 100 * tol reaches 1, the least distance between two
+    # orthogonal projections of different rank
+    for command in ("validate", "idempotents", "lattice", "dual", "check"):
+        for flag in ("--tol", "--axiom-tol"):
+            for value in ("-1", "0", "nan", "abc", "0.01", "0.5", "1e300", "inf"):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([command, z2_file, flag, value])
+                assert exc.value.code == cli.EXIT_INPUT_ERROR
+                err = capsys.readouterr().err
+                assert (f"argument {flag}: must be a positive number below 0.01, "
+                        f"got '{value}'") in err
 
 
 def test_internal_inconsistency_maps_to_exit_3(z2_file, capsys, monkeypatch):
@@ -280,6 +286,23 @@ def test_internal_inconsistency_maps_to_exit_3(z2_file, capsys, monkeypatch):
     code, _, err = run(capsys, "check", z2_file)
     assert code == 3
     assert "internal inconsistency" in err
+
+
+def test_dual_failing_its_battery_exits_3(s3_file, capsys, monkeypatch):
+    # the dual is built once, with no other candidate to fall back on, so a
+    # battery failure on a valid file is a bug, not bad input
+    real = duality.build_dual_tensors
+
+    def doubled_star(group):
+        out = real(group)
+        return dataclasses.replace(out, star=2 * out.star)
+
+    monkeypatch.setattr(duality, "build_dual_tensors", doubled_star)
+    duality.dual.cache_clear()
+    code, out, err = run(capsys, "dual", s3_file)
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert "internal inconsistency: the dual fails its battery" in err
 
 
 @pytest.mark.parametrize("error, code", [

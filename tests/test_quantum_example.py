@@ -1,7 +1,7 @@
 """End-to-end run on a genuinely quantum example (dim 8).
 
 The six built-ins are each commutative or cocommutative, so none of them
-exercises the regime where the dual-coproduct flip genuinely matters and
+exercises the regime where the co-opposite dual differs from the dual and
 where idempotent states exist that do not come from any subgroup.  This
 module constructs the smallest object that is neither commutative nor
 cocommutative, as a cocycle crossed product of the Klein four-group by the
@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from qglab import checks, cli, coideal, duality, harmonic, hopf, lattice
+from qglab import checks, cli, coideal, harmonic, hopf, lattice
 from conftest import assert_same_lattice
 
 KLEIN = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -189,12 +189,6 @@ def test_exactly_two_states_are_not_haar_type(quantum_states):
 def test_enumerated_lattice_matches_build_lattice(quantum_enum):
     assert_same_lattice(quantum_enum.lattice,
                         lattice.build_lattice(quantum_enum.states))
-
-
-def test_dual_convention_is_unique(quantum):
-    pair = duality.dual(quantum)
-    assert pair.convention.candidates_passing == ("comult_flip=False",)
-    assert pair.convention.w_kind == "coproduct-first-factor"
 
 
 def test_full_property_suite_passes(quantum):
