@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog, coideal, duality, harmonic, hopf, lattice
 from .errors import CriteriaDisagree, QuantumGroupError
-from .linalg import (containment_defect, dagger, frob, nullspace, orthonormal_columns,
+from .linalg import (dagger, frob, nullspace, orthonormal_columns, projector,
                      subspace_distance, sup)
 
 DEFAULT_SEED = 1729   # seeds the suite's random probes
@@ -183,7 +183,8 @@ def _order_via_coideals(c):
             conv = sup(harmonic.convolve(a.functional, b.functional).coeffs
                        - b.coeffs) < tol
             comp = frob(es[i] @ es[j] - es[j]) < 100 * tol
-            contain = containment_defect(bases[i], bases[j]) < 100 * tol   # N_b in N_a
+            # N_b in N_a, in Frobenius norm: 0 or at least 1 (a column's can be 1/sqrt(2))
+            contain = frob(bases[j] - projector(bases[i]) @ bases[j]) < 100 * tol
             porder = frob(a.l2_projection @ b.l2_projection
                           - b.l2_projection) < 100 * tol
             if len({conv, comp, contain, porder}) != 1:

@@ -471,30 +471,33 @@ def group_algebra(table, labels=None) -> FiniteQuantumGroup:
 # JSON serialization
 # ----------------------------------------------------------------------
 
-def _pair_array(arr) -> np.ndarray:
-    """Real array of shape arr.shape + (2,); negative zeros become 0.0."""
-    arr = np.asarray(arr, complex)
-    return np.stack([arr.real, arr.imag], axis=-1) + 0.0
-
-
 def _pairs_json(arr: np.ndarray, indent: str | None, level: int) -> str:
     """The JSON of arr's nested [re, im] pairs, written at nesting level.
 
-    One C-encoder call renders every float; the indented form is then
-    assembled with one join pass per level, innermost first.
+    Negative zeros become 0.0.  One C-encoder call renders the floats, each
+    distinct one once when half or more repeat (every NaN prints alike);
+    one join lays out the array, each float followed by its separator.
     """
-    pairs = _pair_array(arr)
-    if indent is None:
-        return json.dumps(pairs.tolist(), separators=(",", ":"))
-    items = json.dumps(pairs.ravel().tolist())[1:-1].split(", ")
-    for depth in range(pairs.ndim - 1, -1, -1):
-        inner = "\n" + indent * (level + depth + 1)
-        head, sep = "[" + inner, "," + inner
-        close = "\n" + indent * (level + depth) + "]"
-        # zip over one iterator, repeated, yields consecutive groups
-        groups = zip(*[iter(items)] * pairs.shape[depth])
-        items = [head + sep.join(group) + close for group in groups]
-    return items[0]
+    floats = (np.asarray(arr, complex) + 0.0).ravel().view(float)  # re, im, re, ...
+    # np.sort, not np.unique: np.unique imports numpy.ma, 1.3 MB of peak RSS
+    ordered = np.sort(floats)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    keys = distinct if 2 * distinct.size <= floats.size else floats
+    texts = json.dumps(keys.tolist())[1:-1].split(", ")
+    if keys is distinct:   # a search finds each float's text
+        texts = np.array(texts, object)[np.searchsorted(distinct, floats)].tolist()
+    newline, indent = ("", "") if indent is None else ("\n", indent)
+    # innermost axis first: one list's separators, repeated for each item
+    seps, close, opens = [None], "", ""
+    for depth, size in reversed(list(enumerate(np.shape(arr) + (2,)))):
+        seps[-1] = close + "," + newline + indent * (level + depth + 1) + opens
+        seps = seps * size
+        close += newline + indent * (level + depth) + "]"
+        opens = "[" + newline + indent * (level + depth + 1) + opens
+    seps[-1] = close
+    parts = [opens] * (2 * len(seps) + 1)
+    parts[1::2], parts[2::2] = texts, seps
+    return "".join(parts)
 
 
 def report_json(obj, indent: str | None = "  ", level: int = 0) -> str:
@@ -503,9 +506,10 @@ def report_json(obj, indent: str | None = "  ", level: int = 0) -> str:
     The bytes are those of json.dumps(obj, sort_keys=True, indent=indent),
     written at nesting level, and with indent=None those of the compact
     json.dumps(obj, sort_keys=True, separators=(",", ":")): no newlines.
-    Every ndarray (none of them empty) is written as the nested [re, im]
-    pairs of its entries, negative zeros as 0.0, in bulk: one C-encoder
-    call per array.  Keys must be str.
+    Every ndarray (none of them empty) is written by _pairs_json as the
+    nested [re, im] pairs of its entries.  Each dict and list is laid out
+    by one join, not by concatenations that copy an array's text again.
+    Keys must be str.
     """
     if isinstance(obj, np.ndarray):
         return _pairs_json(obj, indent, level)
@@ -521,11 +525,11 @@ def report_json(obj, indent: str | None = "  ", level: int = 0) -> str:
         return json.dumps(obj)
     if not items:
         return brackets
-    if indent is None:
-        return brackets[0] + ",".join(items) + brackets[1]
-    inner = "\n" + indent * (level + 1)
-    return (brackets[0] + inner + ("," + inner).join(items)
-            + "\n" + indent * level + brackets[1])
+    newline, indent = ("", "") if indent is None else ("\n", indent)
+    inner = newline + indent * (level + 1)
+    parts = [brackets[0] + inner] + [None, "," + inner] * len(items)
+    parts[1::2], parts[-1] = items, newline + indent * level + brackets[1]
+    return "".join(parts)
 
 
 def _complex_at(obj, path: str) -> complex:

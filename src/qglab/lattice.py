@@ -291,11 +291,18 @@ class EnumerationResult:
 
 
 def _dedup(functionals, tol):
-    """The functionals at least 100 * tol apart from every earlier one."""
-    kept = []
+    """The functionals whose coideal no earlier one has.
+
+    As in _close, two coideals are one when the L2 expectations lie within
+    the gap bound 100 * tol; distinct states' coefficients can be 2/n apart.
+    """
+    seen, kept = [], []
     for f in functionals:
-        if all(sup(f.coeffs - g.coeffs) >= 100 * tol for g in kept):
+        space = hopf.gns(f.home)   # l2: the expectation (id (x) f) Delta on L2
+        l2 = space.orthonormal_basis @ (f.home.comult @ f.coeffs).T @ space.inverse_basis
+        if all(frob(l2 - other) > 100 * tol for other in seen):
             kept.append(f)
+            seen.append(l2)
     return kept
 
 
@@ -366,14 +373,11 @@ def _generated_states(group, tol):
                   as_idempotent_state(f, tol), back, tol).coeffs)
               for f in theirs]
 
-    def only(side, other):
-        return sum(all(sup(f.coeffs - g.coeffs) >= 100 * tol for g in other)
-                   for f in side)
-
+    both = _dedup(ours + pulled, tol)   # each side's limits are distinct
     counts = {"seeds": {"group": group.dim, "dual": dual_group.dim},
               "limits": {"group": len(ours), "dual": len(theirs)},
-              "one_side": {"group": only(ours, pulled), "dual": only(pulled, ours)}}
-    return _dedup(ours + pulled, tol), counts
+              "one_side": {"group": len(both) - len(pulled), "dual": len(both) - len(ours)}}
+    return both, counts
 
 
 def enumerate_idempotents(group, strategy: str = "auto",

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from qglab import catalog
+from qglab import catalog, hopf
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +50,19 @@ def dihedral_table(m):
     elems = [(k, e) for e in (0, 1) for k in range(m)]
     return [[(e ^ f) * m + (a + (-b if e else b)) % m for b, f in elems]
             for a, e in elems]
+
+
+@functools.cache
+def named_group(name):
+    """"kp", a built-in, or "c_dM" / "cg_dM": the function / group algebra of D_M."""
+    if name == "kp":
+        from test_quantum_example import build_quantum_example
+        return build_quantum_example()
+    if name in catalog.BUILTIN_NAMES:
+        return catalog.builtin(name)
+    family, m = name.split("_d")
+    build = hopf.function_algebra if family == "c" else hopf.group_algebra
+    return build(dihedral_table(int(m)))
 
 
 def assert_same_lattice(got, expected):

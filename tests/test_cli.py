@@ -7,6 +7,7 @@ import pytest
 
 from qglab import catalog, checks, cli, duality, hopf, lattice
 from qglab.errors import CriteriaDisagree, NotPositive
+from conftest import named_group
 from test_quantum_example import build_quantum_example
 
 
@@ -273,6 +274,18 @@ def test_nonpositive_tolerance_is_input_error(z2_file, capsys):
                 err = capsys.readouterr().err
                 assert (f"argument {flag}: must be a positive number below 0.01, "
                         f"got '{value}'") in err
+
+
+@pytest.mark.parametrize("tol", ["8e-3", "9.99e-3"])
+@pytest.mark.parametrize("name", list(catalog.BUILTIN_NAMES) + [
+    "kp", "c_d4", "c_d5", "c_d6", "cg_d4", "cg_d5", "cg_d6"])
+def test_check_passes_just_below_the_tolerance_bound(tmp_path, capsys, name, tol):
+    # every criterion with the gap bound 100 * tol measures a distance that
+    # is 0 or at least 1, so each stays decided up to the 0.01 bound
+    path = tmp_path / f"{name}.json"
+    path.write_text(hopf.save(named_group(name)) + "\n")
+    code, _, err = run(capsys, "check", str(path), "--tol", tol)
+    assert code == cli.EXIT_OK, err
 
 
 def test_internal_inconsistency_maps_to_exit_3(z2_file, capsys, monkeypatch):

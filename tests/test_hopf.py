@@ -379,6 +379,8 @@ def test_tensor_multiply_matches_single_contraction(name):
 def _listify(obj):
     """Arrays as nested [re, im] lists, one Python float at a time."""
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            return _listify(obj.reshape(1))[0]
         if obj.ndim == 1:
             return [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in obj]
         return [_listify(sub) for sub in obj]
@@ -415,6 +417,56 @@ def test_report_json_is_the_standard_indented_encoding(report):
 def test_report_json_compact_is_the_standard_compact_encoding(report):
     assert hopf.report_json(report, indent=None) == json.dumps(
         _listify(report), sort_keys=True, separators=(",", ":"))
+
+
+def _standard(report, indent):
+    """Python's own encoding of report, indented or compact."""
+    if indent is None:
+        return json.dumps(_listify(report), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_listify(report), sort_keys=True, indent=indent)
+
+
+# a few distinct entries, each repeated many times: NaN in either component
+# (complex(nan, 0) and complex(0, nan) print differently), both zeros, both
+# infinities, the least subnormal and 2**53
+POOL_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -0.5, float("nan"), float("inf"),
+                               float("-inf"), 5e-324, 2.0 ** 53])
+REPEATED = st.lists(st.builds(complex, POOL_FLOATS, POOL_FLOATS),
+                    min_size=1, max_size=4).flatmap(
+    lambda pool: arrays(np.complex128, array_shapes(min_dims=0, max_dims=4, max_side=6),
+                        elements=st.sampled_from(pool)))
+
+
+@pytest.mark.parametrize("indent", ["  ", None])
+@settings(max_examples=150, deadline=None)
+@given(arr=REPEATED, depth=st.integers(0, 3))
+def test_report_json_of_arrays_with_repeated_entries(indent, arr, depth):
+    report = arr
+    for _ in range(depth):   # the array written deeper inside the report
+        report = {"k": [report]}
+    assert hopf.report_json(report, indent=indent) == _standard(report, indent)
+
+
+@pytest.mark.parametrize("indent", ["  ", None])
+@pytest.mark.parametrize("arr", [
+    np.array(-0.0 - 0.0j), np.array(complex(float("nan"), -0.0)), np.array(2.0),
+    np.array([5e-324]), np.array([[complex(-0.0, float("-inf"))]]),
+    np.array([[[2.0 ** 53 + 1j]]]),
+], ids=["0d-zeros", "0d-nan", "0d-real", "1", "1x1", "1x1x1"])
+def test_report_json_of_zero_dim_and_one_entry_arrays(indent, arr):
+    for report in (arr, {"k": [arr]}):
+        assert hopf.report_json(report, indent=indent) == _standard(report, indent)
+
+
+def test_report_json_keeps_the_nan_component_of_each_entry():
+    nan = float("nan")
+    arr = np.array([complex(0.0, nan), complex(nan, 0.0), complex(0.0, nan)])
+    assert hopf.report_json(arr, indent=None) == "[[0.0,NaN],[NaN,0.0],[0.0,NaN]]"
+
+
+def test_report_json_of_a_zero_dim_array_is_one_pair():
+    assert hopf.report_json(np.array(-0.0 + 0.5j)) == "[\n  0.0,\n  0.5\n]"
+    assert hopf.report_json(np.array(-0.0 + 0.5j), indent=None) == "[0.0,0.5]"
 
 
 @pytest.mark.parametrize("name", ALL + ["kp"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qglab import catalog, checks, coideal, harmonic, hopf, lattice
 from qglab.errors import InternalInconsistency
 from qglab.linalg import frob
-from conftest import assert_same_lattice, dihedral_table, s3_subgroup
+from conftest import assert_same_lattice, dihedral_table, named_group, s3_subgroup
 from test_basis_invariance import ill_conditioned_s3
 from test_quantum_example import build_quantum_example
 
@@ -237,6 +237,19 @@ def test_generated_report_counts_each_side(cg_s3):
                                 "limits": {"group": 3, "dual": 5},
                                 "one_side": {"group": 1, "dual": 3},
                                 "closure_added": 0}
+
+
+@pytest.mark.parametrize("tol", [3e-3, 5e-3, 9e-3])
+@pytest.mark.parametrize("name", ["kp", "c_d4", "c_d5", "c_d6", "cg_d4"])
+def test_generated_keeps_every_state_at_large_tolerances(name, tol):
+    # distinct states can lie 2/n apart in coefficients, below the gap
+    # bound 100 * tol; their coideals lie at least 1 apart
+    group = named_group(name)
+    default = lattice.enumerate_idempotents(group)
+    wide = lattice.enumerate_idempotents(group, tol=tol)
+    assert len(wide.states) == len(default.states) == {
+        "kp": 8, "c_d4": 10, "c_d5": 8, "c_d6": 16, "cg_d4": 10}[name]
+    assert wide.report == default.report
 
 
 def test_enumeration_deterministic(c_s3):
