@@ -257,9 +257,7 @@ def as_idempotent_state(phi, tol: float = DEFAULT_TOL,
         raise InternalInconsistency(
             f"expectation range failed certification: {coid.defects}")
     proj = coid.l2_projector()
-    space = hopf.gns(group)
-    l2map = space.orthonormal_basis @ e @ space.inverse_basis
-    if frob(l2map - proj) > 100 * tol:
+    if frob(hopf.gns(group).on_l2(e) - proj) > 100 * tol:
         raise InternalInconsistency(
             "expectation does not embed as the orthogonal range projection")
     qperp = support_projection(f, tol)

@@ -113,8 +113,8 @@ def _unitary_battery(group, w, legs, space) -> dict[str, float]:
     rank1 = np.outer(vac, np.conj(vac))
     res["haar-slice"] = frob(np.einsum("k,kab->ab", group.haar, legs) - rank1)
     emat = expectation_matrix(Functional(home=group, coeffs=group.haar))
-    proj = space.orthonormal_basis @ emat @ space.inverse_basis
-    res["haar-expectation"] = frob(np.einsum("k,kab->ab", group.haar, legs) - proj)
+    res["haar-expectation"] = frob(np.einsum("k,kab->ab", group.haar, legs)
+                                   - space.on_l2(emat))
     return res
 
 

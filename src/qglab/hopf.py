@@ -341,6 +341,10 @@ class GnsSpace:
     def represent(self, x) -> np.ndarray:
         return np.einsum("i,iab->ab", np.asarray(x, complex), self.left_mult)
 
+    def on_l2(self, matrix) -> np.ndarray:
+        """The operator on L2 of a linear map on algebra coordinates."""
+        return self.orthonormal_basis @ matrix @ self.inverse_basis
+
 
 @lru_cache(maxsize=64)
 def gns(group: FiniteQuantumGroup, tol: float = DERIVED_TOL) -> GnsSpace:
@@ -474,18 +478,16 @@ def group_algebra(table, labels=None) -> FiniteQuantumGroup:
 def _pairs_json(arr: np.ndarray, indent: str | None, level: int) -> str:
     """The JSON of arr's nested [re, im] pairs, written at nesting level.
 
-    Negative zeros become 0.0.  One C-encoder call renders the floats, each
-    distinct one once when half or more repeat (every NaN prints alike);
-    one join lays out the array, each float followed by its separator.
+    Negative zeros become 0.0.  One C-encoder call renders each distinct
+    float once (every NaN prints alike), a search finds each float's text,
+    and one join lays out the array, each float followed by its separator.
     """
     floats = (np.asarray(arr, complex) + 0.0).ravel().view(float)  # re, im, re, ...
     # np.sort, not np.unique: np.unique imports numpy.ma, 1.3 MB of peak RSS
     ordered = np.sort(floats)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    keys = distinct if 2 * distinct.size <= floats.size else floats
-    texts = json.dumps(keys.tolist())[1:-1].split(", ")
-    if keys is distinct:   # a search finds each float's text
-        texts = np.array(texts, object)[np.searchsorted(distinct, floats)].tolist()
+    texts = json.dumps(distinct.tolist())[1:-1].split(", ")
+    texts = np.array(texts, object)[np.searchsorted(distinct, floats)].tolist()
     newline, indent = ("", "") if indent is None else ("\n", indent)
     # innermost axis first: one list's separators, repeated for each item
     seps, close, opens = [None], "", ""

@@ -42,6 +42,7 @@ from .harmonic import (
     Functional,
     IdempotentState,
     convolve,
+    expectation_matrix,
     is_idempotent_state,
     preceq,
     require_same_home,
@@ -293,13 +294,13 @@ class EnumerationResult:
 def _dedup(functionals, tol):
     """The functionals whose coideal no earlier one has.
 
-    As in _close, two coideals are one when the L2 expectations lie within
-    the gap bound 100 * tol; distinct states' coefficients can be 2/n apart.
+    As in _close, two coideals are one when their projections, here the
+    expectations on L2, lie within the gap bound 100 * tol; distinct
+    states' coefficients can be 2/n apart, below it.
     """
     seen, kept = [], []
     for f in functionals:
-        space = hopf.gns(f.home)   # l2: the expectation (id (x) f) Delta on L2
-        l2 = space.orthonormal_basis @ (f.home.comult @ f.coeffs).T @ space.inverse_basis
+        l2 = hopf.gns(f.home).on_l2(expectation_matrix(f))
         if all(frob(l2 - other) > 100 * tol for other in seen):
             kept.append(f)
             seen.append(l2)

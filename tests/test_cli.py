@@ -8,7 +8,6 @@ import pytest
 from qglab import catalog, checks, cli, duality, hopf, lattice
 from qglab.errors import CriteriaDisagree, NotPositive
 from conftest import named_group
-from test_quantum_example import build_quantum_example
 
 
 def run(capsys, *argv):
@@ -280,8 +279,9 @@ def test_nonpositive_tolerance_is_input_error(z2_file, capsys):
 @pytest.mark.parametrize("name", list(catalog.BUILTIN_NAMES) + [
     "kp", "c_d4", "c_d5", "c_d6", "cg_d4", "cg_d5", "cg_d6"])
 def test_check_passes_just_below_the_tolerance_bound(tmp_path, capsys, name, tol):
-    # every criterion with the gap bound 100 * tol measures a distance that
-    # is 0 or at least 1, so each stays decided up to the 0.01 bound
+    # on these inputs each distance compared with the gap bound 100 * tol is
+    # 0 or at least 1 (measured, not proved), and containment is a
+    # dimension count, so every criterion stays decided up to the 0.01 bound
     path = tmp_path / f"{name}.json"
     path.write_text(hopf.save(named_group(name)) + "\n")
     code, _, err = run(capsys, "check", str(path), "--tol", tol)
@@ -361,7 +361,7 @@ def test_haar_less_file_works(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kp"])
 @pytest.mark.parametrize("command", ["validate", "idempotents", "lattice", "dual", "check"])
 def test_json_reports_are_the_standard_indented_encoding(tmp_path, capsys, name, command):
-    group = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    group = named_group(name)
     path = tmp_path / f"{name}.json"
     path.write_text(hopf.save(group) + "\n")
     code, out, _ = run(capsys, command, "--format", "json", str(path))

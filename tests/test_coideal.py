@@ -6,8 +6,7 @@ import pytest
 from qglab import catalog, coideal, harmonic, hopf, lattice, linalg
 from qglab.errors import InternalInconsistency, NotACoideal, NotASubalgebra, NotIdempotent
 from qglab.linalg import frob, orthonormal_columns, subspace_distance
-from conftest import s3_subgroup
-from test_quantum_example import build_quantum_example
+from conftest import named_group, s3_subgroup
 
 
 def coset_algebra(group, table, subgroup):
@@ -322,7 +321,7 @@ def reference_bimodularity(group, basis_alg, e):
 def test_pairwise_map_certificates_match_the_einsums(name, monkeypatch):
     # on each state's expectation, where both certificates hold, and on a
     # random map, where neither does and the residuals are of order one
-    group = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    group = named_group(name)
     n = group.dim
     rng = np.random.default_rng(n)
     held = []

@@ -8,8 +8,7 @@ import pytest
 from qglab import catalog, checks, coideal, duality, harmonic, hopf, lattice
 from qglab.errors import CriteriaDisagree, NotPositive
 from qglab.linalg import dagger, frob, nullspace, subspace_distance
-from conftest import dihedral_table, s3_subgroup
-from test_quantum_example import build_quantum_example
+from conftest import dihedral_table, named_group, s3_subgroup
 
 ALL = list(catalog.BUILTIN_NAMES)
 
@@ -230,21 +229,12 @@ def test_dual_battery_checks_only_what_the_dual_adds(name):
             assert residual() == 0.0, axiom
 
 
-def build_group(name):
-    if name == "kp":
-        return build_quantum_example()
-    if name in ("c_d4", "cg_d4"):
-        build = hopf.function_algebra if name == "c_d4" else hopf.group_algebra
-        return build(dihedral_table(4))
-    return catalog.builtin(name)
-
-
 @pytest.mark.parametrize("name", ALL + ["kp", "c_d4", "cg_d4"])
 def test_co_opposite_dual_passes_only_where_it_is_the_dual(name):
     # the oracle: the dual with the legs of its coproduct swapped.  Its
     # double dual has the opposite product, so the battery passes exactly
     # on the groups where the swap changes nothing
-    pair = duality.dual(build_group(name))
+    pair = duality.dual(named_group(name))
     swapped = dataclasses.replace(pair.dual_group, haar=None,
                                   comult=pair.dual_group.comult.transpose(0, 2, 1))
     swapped = hopf.with_haar(swapped)
@@ -315,7 +305,7 @@ def test_codual_system_on_the_basis_matches_the_projection(name):
     # X(1 (x) BB*) and X(1 (x) B) have the same Gram matrix, so the system
     # on the coideal's L2 basis has the singular values and kernel of the
     # system on its projection, with n**3 r rows in place of n**4
-    g = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    g = named_group(name)
     pair = duality.dual(g)
     n = g.dim
     for s in lattice.enumerate_idempotents(g).states:
@@ -542,6 +532,32 @@ def test_suite_catches_a_wrong_support_projection(monkeypatch):
     assert not check_result(results, "support-reconstruction").passed
 
 
+def test_coideal_order_counts_containment_by_dimension():
+    # the containment criterion alone reads the coideal bases.  Tilt the
+    # Haar state's coideal, the scalars, by 1e-4, far below the gap bound
+    # 100 * tol: the tilted line lies only in the largest coideal, and a
+    # dimension count sees that on every pair (a, Haar) with a neither;
+    # a residual compared with 100 * tol would not
+    group = catalog.builtin("c_s3")
+    context = checks.CheckContext(group, hopf.AXIOM_TOL, 1e-3, checks.DEFAULT_SEED)
+    checks._enumerate(context)
+    context.expectations   # computed from the untilted coideals
+    assert checks._order_via_coideals(context) == (0.0, "")
+    haar = [s.coideal.dim for s in context.states].index(1)
+    line = context.states[haar].coideal.gns_basis()
+    tilted = line + 1e-4 * np.linspace(-1.0, 1.0, group.dim)[:, None]
+    tilted /= np.linalg.norm(tilted)
+
+    class Tilted:
+        def gns_basis(self):
+            return tilted
+
+    others = sum(s.coideal.dim not in (1, group.dim) for s in context.states)
+    context.states = list(context.states)
+    context.states[haar] = dataclasses.replace(context.states[haar], coideal=Tilted())
+    assert others > 0 and checks._order_via_coideals(context) == (others, "")
+
+
 def test_suite_catches_swapped_dual_states(monkeypatch):
     # duality-exchange reads the primal tables swapped as the dual states'
     # tables; with two dual states out of place they are no longer extremal
@@ -565,7 +581,7 @@ def test_suite_catches_swapped_dual_states(monkeypatch):
 def test_projection_identity_by_legs_matches_kron(name):
     # W* (1 (x) P) W (P (x) 1) = P (x) P for each support projection; also
     # off the identity, on W perturbed so that the residual is of order one
-    g = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    g = named_group(name)
     n = g.dim
     w = duality.regular_unitary(g).w
     eye = np.eye(n)

@@ -4,8 +4,7 @@ import pytest
 from qglab import catalog, coideal, harmonic, hopf, lattice
 from qglab.errors import HomeMismatch, NotAProjection, NotAState, ZeroMass
 from qglab.linalg import containment_defect, frob
-from conftest import dihedral_table, s3_subgroup
-from test_quantum_example import build_quantum_example
+from conftest import named_group, s3_subgroup
 
 
 def measure(group, weights):
@@ -207,10 +206,7 @@ def reference_haar_type(phi, tol=harmonic.DEFAULT_TOL):
 
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "cg_z4", "kp", "cg_d4", "c_d4"])
 def test_haar_type_matches_the_per_vector_loop(name):
-    group = {"kp": build_quantum_example,
-             "cg_d4": lambda: hopf.group_algebra(dihedral_table(4)),
-             "c_d4": lambda: hopf.function_algebra(dihedral_table(4)),
-             }.get(name, lambda: catalog.builtin(name))()
+    group = named_group(name)
     states = lattice.enumerate_idempotents(group).states
     verdicts = [harmonic.haar_type_test(s) for s in states]
     assert verdicts == [reference_haar_type(s) for s in states]

@@ -17,8 +17,7 @@ from qglab.errors import (
     NotPositive,
     ParseError,
 )
-from conftest import dihedral_table
-from test_quantum_example import build_quantum_example
+from conftest import dihedral_table, named_group
 
 ALL = list(catalog.BUILTIN_NAMES)
 
@@ -471,7 +470,7 @@ def test_report_json_of_a_zero_dim_array_is_one_pair():
 
 @pytest.mark.parametrize("name", ALL + ["kp"])
 def test_save_is_the_compact_report_of_the_group_document(name):
-    group = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    group = named_group(name)
     expected = json.dumps(_listify(hopf.group_doc(group)), sort_keys=True,
                           separators=(",", ":"))
     assert hopf.save(group) == expected
@@ -487,7 +486,7 @@ FIELDS = ("mult", "unit", "comult", "counit", "antipode", "star", "haar")
 
 @pytest.mark.parametrize("name", ALL + ["kp"])
 def test_load_dict_matches_the_walker_bit_for_bit(name):
-    group = build_quantum_example() if name == "kp" else catalog.builtin(name)
+    group = named_group(name)
     doc = json.loads(hopf.save(group))
     loaded = hopf.load_dict(doc)
     for field in FIELDS:

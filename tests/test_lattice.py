@@ -10,7 +10,6 @@ from qglab.errors import InternalInconsistency
 from qglab.linalg import frob
 from conftest import assert_same_lattice, dihedral_table, named_group, s3_subgroup
 from test_basis_invariance import ill_conditioned_s3
-from test_quantum_example import build_quantum_example
 
 
 def states_by_subgroup(name):
@@ -117,11 +116,8 @@ def test_join_is_the_limit_of_convolution_powers(name):
 
 @functools.cache
 def lattice_states(name):
-    if name == "kp":
-        return lattice.enumerate_idempotents(build_quantum_example()).states
-    if name == "c_d4":
-        group = hopf.function_algebra(dihedral_table(4))
-        return lattice.enumerate_idempotents(group).states
+    if name in ("kp", "c_d4"):
+        return lattice.enumerate_idempotents(named_group(name)).states
     return catalog_states(name)
 
 
@@ -243,7 +239,8 @@ def test_generated_report_counts_each_side(cg_s3):
 @pytest.mark.parametrize("name", ["kp", "c_d4", "c_d5", "c_d6", "cg_d4"])
 def test_generated_keeps_every_state_at_large_tolerances(name, tol):
     # distinct states can lie 2/n apart in coefficients, below the gap
-    # bound 100 * tol; their coideals lie at least 1 apart
+    # bound 100 * tol; on these inputs their coideals' projections lie at
+    # least 1 apart (measured, not proved)
     group = named_group(name)
     default = lattice.enumerate_idempotents(group)
     wide = lattice.enumerate_idempotents(group, tol=tol)
@@ -262,13 +259,7 @@ def test_enumeration_deterministic(c_s3):
 
 @functools.cache
 def seed_stream_input(name):
-    if name == "kp":
-        return build_quantum_example()
-    if name == "c_d4":
-        return hopf.function_algebra(dihedral_table(4))
-    if name == "cg_d5":
-        return hopf.group_algebra(dihedral_table(5))
-    return ill_conditioned_s3(1e3)[1]
+    return ill_conditioned_s3(1e3)[1] if name == "c_s3_kappa_1e3" else named_group(name)
 
 
 @functools.cache
