@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -85,15 +86,9 @@ def recognize(group: hopf.FiniteQuantumGroup) -> str | None:
     """Name of the built-in with the same structure tensors, if any."""
     for name in BUILTIN_NAMES:
         b = builtin(name)
-        if b.dim != group.dim:
-            continue
-        same = (np.allclose(b.mult, group.mult, atol=1e-9)
-                and np.allclose(b.unit, group.unit, atol=1e-9)
-                and np.allclose(b.comult, group.comult, atol=1e-9)
-                and np.allclose(b.counit, group.counit, atol=1e-9)
-                and np.allclose(b.antipode, group.antipode, atol=1e-9)
-                and np.allclose(b.star, group.star, atol=1e-9))
-        if same:
+        if b.dim == group.dim and all(
+                np.allclose(getattr(b, t), getattr(group, t), atol=1e-9)
+                for t in hopf.TENSORS):
             return name
     return None
 
@@ -165,20 +160,38 @@ def subgroup_lattice_oracle(name: str):
 # canonical idempotent states of the built-ins
 # ----------------------------------------------------------------------
 
+def _subgroup_coeffs(kind: str, dim: int, subset) -> np.ndarray:
+    """H's state, read-only: 1/|H| on H on C(G) (kind "c"), 1 on H on C*(G)."""
+    coeffs = np.zeros(dim, dtype=complex)
+    coeffs[sorted(subset)] = 1.0 / len(subset) if kind == "c" else 1.0
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def uniform_measure_functional(group, subset, name=None) -> Functional:
     """Uniform probability measure on a subgroup, on a function algebra."""
-    coeffs = np.zeros(group.dim, dtype=complex)
-    for g in subset:
-        coeffs[g] = 1.0 / len(subset)
-    return Functional(home=group, coeffs=coeffs, name=name)
+    return Functional(home=group, coeffs=_subgroup_coeffs("c", group.dim, subset), name=name)
 
 
 def indicator_functional(group, subset, name=None) -> Functional:
     """Subgroup indicator functional on a group algebra."""
-    coeffs = np.zeros(group.dim, dtype=complex)
-    for g in subset:
-        coeffs[g] = 1.0
-    return Functional(home=group, coeffs=coeffs, name=name)
+    return Functional(home=group, coeffs=_subgroup_coeffs("cg", group.dim, subset), name=name)
+
+
+@lru_cache(maxsize=None)
+def subgroup_states(name: str) -> MappingProxyType:
+    """Each subgroup of a built-in's group with its idempotent state.
+
+    In the order of subgroups(), each subgroup H maps to (state name,
+    coefficients): the uniform measure "unif{...}" on a function algebra,
+    the indicator "ind{...}" on a group algebra.
+    """
+    kind, short = name.split("_", 1)
+    table, labels = group_table(short)
+    prefix = "unif" if kind == "c" else "ind"
+    return MappingProxyType({
+        sub: (prefix + subgroup_label(sub, labels), _subgroup_coeffs(kind, len(table), sub))
+        for sub in subgroups(table)})
 
 
 def catalog_functionals(group: hopf.FiniteQuantumGroup, name: str) -> list[Functional]:
@@ -187,26 +200,11 @@ def catalog_functionals(group: hopf.FiniteQuantumGroup, name: str) -> list[Funct
     `group` may be any instance with the built-in's tensors (for example one
     loaded from a file); the returned functionals live on that instance.
     """
-    kind, short = name.split("_", 1)
-    table, labels = group_table(short)
-    out = []
-    for sub in subgroups(table):
-        tag = subgroup_label(sub, labels)
-        if kind == "c":
-            out.append(uniform_measure_functional(group, sub, name=f"unif{tag}"))
-        else:
-            out.append(indicator_functional(group, sub, name=f"ind{tag}"))
-    return out
+    return [Functional(home=group, coeffs=coeffs, name=tag)
+            for tag, coeffs in subgroup_states(name).values()]
 
 
 def subgroup_of_state(name: str, coeffs: np.ndarray) -> frozenset[int] | None:
     """Match a state's coefficient vector back to a subgroup, if it is one."""
-    kind, short = name.split("_", 1)
-    table, _ = group_table(short)
-    for sub in subgroups(table):
-        expected = np.zeros(len(table), dtype=complex)
-        for g in sub:
-            expected[g] = (1.0 / len(sub)) if kind == "c" else 1.0
-        if np.max(np.abs(expected - coeffs)) < 1e-7:
-            return sub
-    return None
+    return next((sub for sub, (_, expected) in subgroup_states(name).items()
+                 if np.max(np.abs(expected - coeffs)) < 1e-7), None)

@@ -99,14 +99,9 @@ def _haar_permutation(c):
     group, n = c.group, c.group.dim
     perm = c.rng.permutation(n)
     inv = np.argsort(perm)
-    permuted = hopf.FiniteQuantumGroup(
-        dim=n,
-        mult=group.mult[np.ix_(inv, inv, inv)],
-        unit=group.unit[inv],
-        comult=group.comult[np.ix_(inv, inv, inv)],
-        counit=group.counit[inv],
-        antipode=group.antipode[np.ix_(inv, inv)],
-        star=group.star[np.ix_(inv, inv)])
+    permuted = hopf.FiniteQuantumGroup(dim=n, **{
+        name: getattr(group, name)[np.ix_(*[inv] * rank)]
+        for name, rank in hopf.TENSORS.items()})
     h = hopf.compute_haar(permuted)
     return sup(h - group.haar[inv]), ""
 
@@ -181,12 +176,12 @@ def _order_via_coideals(c):
         for j, b in enumerate(c.states):
             conv = sup(harmonic.convolve(a.functional, b.functional).coeffs
                        - b.coeffs) < tol
-            comp = frob(es[i] @ es[j] - es[j]) < 100 * tol
+            comp = frob(es[i] @ es[j] - es[j]) < hopf.GAP * tol
             # N_b in N_a: the sum N_a + N_b has N_a's dimension
             contain = (orthonormal_columns(np.hstack([bases[i], bases[j]])).shape[1]
                        == bases[i].shape[1])
             porder = frob(a.l2_projection @ b.l2_projection
-                          - b.l2_projection) < 100 * tol
+                          - b.l2_projection) < hopf.GAP * tol
             if len({conv, comp, contain, porder}) != 1:
                 disagreements += 1
     return float(disagreements), ""
@@ -264,7 +259,7 @@ def modular_law(lat: lattice.IdempotentLattice,
                                          states[m].coideal.basis)
             span = orthonormal_columns(t @ products)
             meet_coideal = states[lat.meet_table[o, m]].coideal
-            if subspace_distance(span, meet_coideal.gns_basis()) >= 100 * tol:
+            if subspace_distance(span, meet_coideal.gns_basis()) >= hopf.GAP * tol:
                 continue
             for r in range(k):
                 if lat.order[r, o] and commute[r][m]:
@@ -377,7 +372,7 @@ check_table = [
     ("order-criteria-via-coideals", 0.5, _order_via_coideals),
     ("state-coideal-bijection", _tol, _bijection),
     ("expectation-gns-projection", 1e-10, _expectation_projection),
-    ("expectation-uniqueness", lambda c: 100 * c.tol, _expectation_uniqueness),
+    ("expectation-uniqueness", lambda c: hopf.GAP * c.tol, _expectation_uniqueness),
     # the lattice verified its order and tables as it was built
     ("lattice-order-and-tables", 1.0, lambda c: (
         0.0, f"{len(c.states)} states, {len(c.lat.hasse_edges)} covers")),

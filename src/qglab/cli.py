@@ -39,7 +39,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-MAX_TOL = 0.01   # so the gap bound 100 * tol < 1, the least distance of unequal-rank projections
+MAX_TOL = 1 / hopf.GAP   # 0.01: the gap bound hopf.GAP * tol stays below 1
 
 
 def _tolerance(text: str) -> float:
@@ -118,13 +118,13 @@ def _load_valid(args: argparse.Namespace) -> hopf.FiniteQuantumGroup:
     return group
 
 
-def _state_record(state) -> dict:
+def _state_record(state, tol: float) -> dict:
     return {
         "name": state.name,
         "coeffs": state.coeffs,
         "q_perp": state.q_perp,
         "coideal_dim": state.coideal.dim,
-        "haar_type": bool(harmonic.haar_type_test(state)),
+        "haar_type": bool(harmonic.haar_type_test(state, tol)),
     }
 
 
@@ -165,7 +165,7 @@ def cmd_idempotents(args: argparse.Namespace) -> int:
             "recognized": enum.report.recognized,
             "coverage": enum.report.coverage,
         },
-        "states": [_state_record(s) for s in enum.states],
+        "states": [_state_record(s, args.tol) for s in enum.states],
     }
     if enum.report.generated is not None:
         doc["report"]["generated"] = enum.report.generated
@@ -191,7 +191,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         return EXIT_OK
     doc = {
         "names": lat.names,
-        "states": [_state_record(s) for s in lat.states],
+        "states": [_state_record(s, args.tol) for s in lat.states],
         "order": lat.order.astype(int).tolist(),
         "meet": lat.meet_table.tolist(),
         "join": lat.join_table.tolist(),

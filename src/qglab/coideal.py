@@ -87,7 +87,7 @@ def _products(group, left, right) -> np.ndarray:
     return (partial.transpose(0, 2, 1) @ right).transpose(1, 0, 2).reshape(n, -1)
 
 
-def _span_defects(group, basis_alg, basis_gns, tol) -> dict[str, float]:
+def _span_defects(group, basis_alg, basis_gns) -> dict[str, float]:
     space = hopf.gns(group)
     t = space.orthonormal_basis
     n, k = basis_alg.shape
@@ -110,7 +110,7 @@ def coideal_from_span(group, vectors, tol: float = DEFAULT_TOL) -> Coideal:
     space = hopf.gns(group)
     basis_gns = orthonormal_columns(space.orthonormal_basis @ vectors)
     basis_alg = space.inverse_basis @ basis_gns
-    defects = _span_defects(group, basis_alg, basis_gns, tol)
+    defects = _span_defects(group, basis_alg, basis_gns)
     return Coideal(
         home=group, basis=basis_alg,
         is_subalgebra=defects["subalgebra"] < tol,
@@ -160,10 +160,10 @@ def expectation(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
     state = as_idempotent_state(phi, tol)
     group = state.home
     e = state.conditional_expectation
-    if choi_min_eig(group, e) < -100 * tol:
+    if choi_min_eig(group, e) < -hopf.GAP * tol:
         raise InternalInconsistency("expectation is not completely positive")
     worst = _bimodularity_defect(group, state.coideal.basis, e)
-    if worst > 100 * tol:
+    if worst > hopf.GAP * tol:
         raise InternalInconsistency(f"expectation is not bimodular ({worst:.2e})")
     return e
 
@@ -257,11 +257,11 @@ def as_idempotent_state(phi, tol: float = DEFAULT_TOL,
         raise InternalInconsistency(
             f"expectation range failed certification: {coid.defects}")
     proj = coid.l2_projector()
-    if frob(hopf.gns(group).on_l2(e) - proj) > 100 * tol:
+    if frob(hopf.gns(group).on_l2(e) - proj) > hopf.GAP * tol:
         raise InternalInconsistency(
             "expectation does not embed as the orthogonal range projection")
     qperp = support_projection(f, tol)
-    if not coid.contains(qperp, 100 * tol):
+    if not coid.contains(qperp, hopf.GAP * tol):
         raise InternalInconsistency("support projection lies outside the coideal")
     return IdempotentState(functional=f, q_perp=qperp, coideal=coid,
                            conditional_expectation=e, l2_projection=proj)
@@ -288,6 +288,6 @@ def state_from_coideal(coid: Coideal, tol: float = DEFAULT_TOL,
     candidate = Functional(home=group, coeffs=group.counit @ e, name=name)
     state = as_idempotent_state(candidate, tol)
     gap = subspace_distance(state.coideal.gns_basis(), coid.gns_basis())
-    if gap > 100 * tol:
+    if gap > hopf.GAP * tol:
         raise NotACoideal(f"state's range differs from the input coideal ({gap:.2e})")
     return state

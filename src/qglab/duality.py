@@ -201,9 +201,7 @@ def _dual_battery(group, dual_group, reg) -> dict[str, float]:
     res["lambda-star"] = worst_s
     double = build_dual_tensors(dual_group)
     res["biduality"] = max(
-        frob(double.mult - group.mult), frob(double.unit - group.unit),
-        frob(double.comult - group.comult), frob(double.counit - group.counit),
-        frob(double.antipode - group.antipode), frob(double.star - group.star),
+        *(frob(getattr(double, name) - getattr(group, name)) for name in hopf.TENSORS),
         frob(double.haar - hopf.with_haar(group).haar))
     res["haar-group-like"] = group_like_defect(dual_group, group.haar)
     return res
@@ -291,11 +289,11 @@ def dual_state(state: IdempotentState, pair: DualPair,
     name = f"dual({state.name})" if state.name else None
     checked = state_from_qperp(dual_group, state.coeffs, tol, name=name)
     out = as_idempotent_state(checked, tol)
-    if sup(out.coeffs - state.q_perp) > 100 * tol:
+    if sup(out.coeffs - state.q_perp) > hopf.GAP * tol:
         raise InternalInconsistency(
             "slicing the regular unitary by the dual state "
             "does not return the support projection")
-    if sup(out.q_perp - state.coeffs) > 100 * tol:
+    if sup(out.q_perp - state.coeffs) > hopf.GAP * tol:
         raise InternalInconsistency(
             "dual state's support is not the original coefficient vector")
     return out

@@ -29,6 +29,7 @@ from .linalg import (
     containment_defect,
     dagger,
     frob,
+    hermitize,
     min_eigval,
     sup,
 )
@@ -88,15 +89,11 @@ def haar_functional(group: hopf.FiniteQuantumGroup) -> Functional:
     return Functional(home=group, coeffs=group.haar, name="haar")
 
 
-def positivity_matrix(phi: Functional) -> np.ndarray:
-    return hopf.sesquilinear_matrix(phi.home, phi.coeffs)
-
-
 def state_defects(phi: Functional) -> dict[str, float]:
     """Residuals of the three idempotent-state conditions."""
     conv = sup(convolve(phi, phi).coeffs - phi.coeffs)
     norm = abs(phi(phi.home.unit) - 1.0)
-    neg = max(0.0, -min_eigval(positivity_matrix(phi)))
+    neg = max(0.0, -min_eigval(hopf.sesquilinear_matrix(phi.home, phi.coeffs)))
     return {"idempotency": conv, "normalization": norm, "negativity": neg}
 
 
@@ -150,9 +147,9 @@ def support_projection(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
     rho = density_element(phi)
     mat = space.represent(rho)
     herm = frob(mat - dagger(mat))
-    if herm > 100 * tol:
+    if herm > hopf.GAP * tol:
         raise NotAState(f"density is not self-adjoint (defect {herm:.2e})")
-    evals, vecs = np.linalg.eigh((mat + dagger(mat)) / 2.0)
+    evals, vecs = np.linalg.eigh(hermitize(mat))
     cut = tol * max(1.0, float(evals[-1]))
     if evals[0] < -cut:
         raise NotAState(f"density has a negative eigenvalue ({evals[0]:.2e})")
@@ -161,20 +158,18 @@ def support_projection(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
     rep = space.left_mult.transpose(1, 2, 0).reshape(group.dim ** 2, group.dim)
     q, _, _, _ = np.linalg.lstsq(rep, proj_mat.reshape(-1), rcond=None)
     fit = frob(space.represent(q) - proj_mat)
-    if fit > 100 * tol:
+    if fit > hopf.GAP * tol:
         raise InternalInconsistency(
             f"spectral projection does not pull back to the algebra (fit {fit:.2e})")
     defect = projection_defect(group, q)
-    if defect > 100 * tol:
+    if defect > hopf.GAP * tol:
         raise InternalInconsistency(f"support is not a projection ({defect:.2e})")
     return q
 
 
 def left_kernel_basis(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {x : phi(x* x) = 0} in coefficient coordinates."""
-    k = positivity_matrix(phi)
-    k = (k + dagger(k)) / 2.0
-    evals, vecs = np.linalg.eigh(k)
+    evals, vecs = np.linalg.eigh(hermitize(hopf.sesquilinear_matrix(phi.home, phi.coeffs)))
     cut = tol * max(1.0, float(evals[-1]))
     return vecs[:, evals <= cut]
 

@@ -37,10 +37,18 @@ from .errors import (
     NotPositive,
     ParseError,
 )
-from .linalg import dagger, frob, nullspace
+from .linalg import dagger, frob, hermitize, min_eigval, nullspace
 
 AXIOM_TOL = 1e-12
 DERIVED_TOL = 1e-9
+# The gap bound GAP * tol: a derived residual up to it still counts as zero,
+# and two coideal projections within it (Frobenius) are one.  Projections of
+# different rank lie at least 1 apart, so a tolerance stays below 1 / GAP.
+GAP = 100
+
+# The six structure tensors, in the order a load checks them: name -> rank;
+# each has shape (dim,) * rank.
+TENSORS = {"mult": 3, "unit": 1, "comult": 3, "counit": 1, "antipode": 2, "star": 2}
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -62,15 +70,8 @@ class FiniteQuantumGroup:
         if n < 1:
             raise DimensionMismatch(f"dim must be positive, got {n}")
         object.__setattr__(self, "dim", n)
-        shapes = {
-            "mult": (n, n, n),
-            "unit": (n,),
-            "comult": (n, n, n),
-            "counit": (n,),
-            "antipode": (n, n),
-            "star": (n, n),
-        }
-        for name, shape in shapes.items():
+        for name, rank in TENSORS.items():
+            shape = (n,) * rank
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != shape:
                 raise DimensionMismatch(
@@ -201,8 +202,7 @@ def axiom_table(group: FiniteQuantumGroup) -> list[tuple[str, Callable[[], float
     def gram_positive():
         gram = sesquilinear_matrix(group, psi)
         herm = frob(gram - dagger(gram))
-        lam_min = float(np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)[0])
-        return max(herm, -min(lam_min, 0.0))
+        return max(herm, -min(min_eigval(gram), 0.0))
 
     # each contraction below is a matmul on reshaped tensors
     m_rows, m_cols = m.reshape(n * n, n), m.reshape(n, n * n)
@@ -280,7 +280,7 @@ def validate(group: FiniteQuantumGroup, tol: float = AXIOM_TOL,
 # invariant state
 # ----------------------------------------------------------------------
 
-def compute_haar(group: FiniteQuantumGroup, tol: float = DERIVED_TOL) -> np.ndarray:
+def compute_haar(group: FiniteQuantumGroup) -> np.ndarray:
     """Solve the invariance equations for the unique invariant state.
 
     The linear system encodes (id (x) h)(coproduct(x)) = h(x) 1 for every
@@ -291,7 +291,7 @@ def compute_haar(group: FiniteQuantumGroup, tol: float = DERIVED_TOL) -> np.ndar
     n = group.dim
     d, u = group.comult, group.unit
     system = d - np.einsum("ik,j->ijk", np.eye(n), u)
-    kernel = nullspace(system.reshape(n * n, n), rel_tol=tol)
+    kernel = nullspace(system.reshape(n * n, n), rel_tol=DERIVED_TOL)
     if kernel.shape[1] == 0:
         raise NoHaarState("the invariance equations have no solution")
     if kernel.shape[1] > 1:
@@ -299,21 +299,21 @@ def compute_haar(group: FiniteQuantumGroup, tol: float = DERIVED_TOL) -> np.ndar
             f"invariant functionals form a space of dimension {kernel.shape[1]}")
     h = kernel[:, 0]
     mass = complex(np.dot(h, u))
-    if abs(mass) < tol:
+    if abs(mass) < DERIVED_TOL:
         raise NoHaarState("invariant functional kills the unit; not normalizable")
     h = h / mass
     left = frob(np.einsum("ijk,j->ik", d, h) - np.outer(h, u))
-    if left >= tol:
+    if left >= DERIVED_TOL:
         raise NoHaarState(
             f"right-invariant solution is not left-invariant (residual {left:.2e})")
     return h
 
 
-def with_haar(group: FiniteQuantumGroup, tol: float = DERIVED_TOL) -> FiniteQuantumGroup:
+def with_haar(group: FiniteQuantumGroup) -> FiniteQuantumGroup:
     """Return the group itself, or a copy with the computed invariant state."""
     if group.haar is not None:
         return group
-    return dataclasses.replace(group, haar=compute_haar(group, tol))
+    return dataclasses.replace(group, haar=compute_haar(group))
 
 
 # ----------------------------------------------------------------------
@@ -347,22 +347,21 @@ class GnsSpace:
 
 
 @lru_cache(maxsize=64)
-def gns(group: FiniteQuantumGroup, tol: float = DERIVED_TOL) -> GnsSpace:
+def gns(group: FiniteQuantumGroup) -> GnsSpace:
     """Orthonormalize the invariant inner product and represent the algebra.
 
     Uses a Hermitian eigendecomposition of the Gram matrix so that a
     near-singular inner product produces an informative error instead of a
     Cholesky failure.
     """
-    group = with_haar(group, tol)
-    gram = sesquilinear_matrix(group, group.haar)
-    gram = (gram + dagger(gram)) / 2.0
+    group = with_haar(group)
+    gram = hermitize(sesquilinear_matrix(group, group.haar))
     evals, vecs = np.linalg.eigh(gram)
-    if evals[0] < -tol:
+    if evals[0] < -DERIVED_TOL:
         raise NotPositive(
             f"gram matrix has negative eigenvalue {evals[0]:.3e}; "
             "the invariant functional is not a state")
-    if evals[0] <= tol:
+    if evals[0] <= DERIVED_TOL:
         raise NotPositive(
             f"gram matrix is numerically singular (min eigenvalue {evals[0]:.3e}); "
             "the invariant state is not faithful")
@@ -581,15 +580,7 @@ def _tensor(obj, shape: tuple[int, ...], path: str) -> np.ndarray:
 
 def group_doc(group: FiniteQuantumGroup) -> dict:
     """The JSON document of a group, tensors kept as complex arrays."""
-    doc = {
-        "dim": group.dim,
-        "mult": group.mult,
-        "unit": group.unit,
-        "comult": group.comult,
-        "counit": group.counit,
-        "antipode": group.antipode,
-        "star": group.star,
-    }
+    doc = {"dim": group.dim, **{name: getattr(group, name) for name in TENSORS}}
     if group.haar is not None:
         doc["haar"] = group.haar
     if group.labels is not None:
@@ -615,13 +606,11 @@ def load_dict(doc: dict) -> FiniteQuantumGroup:
     if not isinstance(dim, int) or dim < 1:
         raise ParseError("dim: must be a positive integer")
     n = dim
-    fields = {"mult": (n, n, n), "unit": (n,), "comult": (n, n, n),
-              "counit": (n,), "antipode": (n, n), "star": (n, n)}
     data = {}
-    for name, shape in fields.items():
+    for name, rank in TENSORS.items():
         if name not in doc:
             raise ParseError(f"missing field: {name}")
-        data[name] = _tensor(doc[name], shape, name)
+        data[name] = _tensor(doc[name], (n,) * rank, name)
     haar = None
     if "haar" in doc and doc["haar"] is not None:
         haar = _tensor(doc["haar"], (n,), "haar")
@@ -630,10 +619,7 @@ def load_dict(doc: dict) -> FiniteQuantumGroup:
         if not isinstance(doc["labels"], list) or len(doc["labels"]) != n:
             raise ParseError(f"labels: expected a list of {n} strings")
         labels = tuple(str(x) for x in doc["labels"])
-    try:
-        return FiniteQuantumGroup(dim=n, haar=haar, labels=labels, **data)
-    except DimensionMismatch as exc:
-        raise ParseError(str(exc)) from exc
+    return FiniteQuantumGroup(dim=n, haar=haar, labels=labels, **data)
 
 
 def loads(text: str) -> FiniteQuantumGroup:

@@ -157,8 +157,8 @@ def _close(states, tol):
     Pairs are taken in rounds: each round computes the pairs that involve a
     state appended in the previous round.  A meet is the subalgebra the two
     coideals generate and a join their intersection, each a GNS basis.  A
-    result within the gap bound of state_from_coideal (100 * tol between L2
-    projections) of a listed state's coideal is that state; only a new
+    result within the gap bound of state_from_coideal (hopf.GAP * tol between
+    L2 projections) of a listed state's coideal is that state; only a new
     coideal is certified, built into a state and appended.  Returns the
     grown list (input states first) and the meet and join tables indexing it.
     """
@@ -169,7 +169,7 @@ def _close(states, tol):
         proj = basis @ dagger(basis)
         for idx, s in enumerate(states):
             if (s.coideal.dim == basis.shape[1]
-                    and frob(s.l2_projection - proj) <= 100 * tol):
+                    and frob(s.l2_projection - proj) <= hopf.GAP * tol):
                 return idx
         group = states[0].home
         coid = coideal_from_span(group, hopf.gns(group).inverse_basis @ basis, tol)
@@ -295,13 +295,13 @@ def _dedup(functionals, tol):
     """The functionals whose coideal no earlier one has.
 
     As in _close, two coideals are one when their projections, here the
-    expectations on L2, lie within the gap bound 100 * tol; distinct
+    expectations on L2, lie within the gap bound hopf.GAP * tol; distinct
     states' coefficients can be 2/n apart, below it.
     """
     seen, kept = [], []
     for f in functionals:
         l2 = hopf.gns(f.home).on_l2(expectation_matrix(f))
-        if all(frob(l2 - other) > 100 * tol for other in seen):
+        if all(frob(l2 - other) > hopf.GAP * tol for other in seen):
             kept.append(f)
             seen.append(l2)
     return kept
@@ -438,13 +438,9 @@ def _assign_names(group, recognized, states):
     named = []
     for idx, s in enumerate(states):
         name = s.name
-        if recognized:
-            sub = catalog.subgroup_of_state(recognized, s.coeffs)
-            if sub is not None:
-                _, short = recognized.split("_", 1)
-                _, labels = catalog.group_table(short)
-                tag = catalog.subgroup_label(sub, labels)
-                name = ("unif" if recognized.startswith("c_") else "ind") + tag
+        sub = catalog.subgroup_of_state(recognized, s.coeffs) if recognized else None
+        if sub is not None:
+            name = catalog.subgroup_states(recognized)[sub][0]
         if name is None:
             if sup(s.coeffs - group.counit) < 1e-7:
                 name = "counit"

@@ -2,8 +2,9 @@
 
 Subspaces are handled as matrices whose columns form an orthonormal basis.
 Rank decisions assume O(1)-normalized inputs (projectors, structure
-tensors): singular values are compared against rel_tol * max(s_max, 1), so
-a numerically zero matrix has rank zero.
+tensors): singular values are compared against RANK_TOL * max(s_max, 1),
+or a cut of the caller's in place of RANK_TOL where nullspace or _rank
+takes one, so a numerically zero matrix has rank zero.
 """
 from __future__ import annotations
 
@@ -39,10 +40,10 @@ def _rank(s: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(s > rel_tol * s.max(initial=1.0)))
 
 
-def orthonormal_columns(cols: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_columns(cols: np.ndarray) -> np.ndarray:
     """SVD-orthonormalized basis of the column space, rank-truncated."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, :_rank(s, rel_tol)]
+    return u[:, :_rank(s, RANK_TOL)]
 
 
 def nullspace(a: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
@@ -68,13 +69,11 @@ def containment_defect(big: np.ndarray, vectors: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(resid, axis=0) / norms))
 
 
-def subspace_intersection(b1: np.ndarray, b2: np.ndarray,
-                          rel_tol: float = RANK_TOL) -> np.ndarray:
+def subspace_intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(b1) & span(b2)."""
     n = b1.shape[0]
     eye = np.eye(n, dtype=complex)
-    stack = np.vstack([eye - projector(b1), eye - projector(b2)])
-    return nullspace(stack, rel_tol)
+    return nullspace(np.vstack([eye - projector(b1), eye - projector(b2)]))
 
 
 def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:

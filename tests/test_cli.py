@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qglab import catalog, checks, cli, duality, hopf, lattice
+from qglab import catalog, checks, cli, duality, harmonic, hopf, lattice
 from qglab.errors import CriteriaDisagree, NotPositive
 from conftest import named_group
 
@@ -124,6 +124,47 @@ def test_validate_parse_error_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "mult" in err
+
+
+def _z2_with_labels(labels):
+    doc = json.loads(hopf.save(catalog.builtin("c_z2")))
+    doc["labels"] = labels
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "top level: expected a JSON object"),
+    ("{}", "missing field: dim"),
+    (_z2_with_labels(["e"]), "labels: expected a list of 2 strings"),
+], ids=["list", "no-dim", "short-labels"])
+def test_malformed_document_names_its_fault(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(capsys, "validate", str(path)) == (
+        cli.EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+
+def test_catalog_strategy_needs_a_recognized_built_in(tmp_path, capsys):
+    path = tmp_path / "c_d4.json"
+    path.write_text(hopf.save(named_group("c_d4")) + "\n")
+    assert run(capsys, "idempotents", "--strategy", "catalog", str(path)) == (
+        cli.EXIT_INPUT_ERROR, "",
+        "error: catalog strategy requires a recognized built-in\n")
+
+
+@pytest.mark.parametrize("command", ["idempotents", "lattice"])
+def test_haar_type_is_decided_at_the_tol_flag(s3_file, capsys, monkeypatch, command):
+    seen = []
+    real = harmonic.haar_type_test
+
+    def recorded(phi, tol=harmonic.DEFAULT_TOL):
+        seen.append(tol)
+        return real(phi, tol)
+
+    monkeypatch.setattr(harmonic, "haar_type_test", recorded)
+    code, _, _ = run(capsys, command, s3_file, "--tol", "3e-8", "--format", "json")
+    assert code == cli.EXIT_OK
+    assert len(seen) == 6 and set(seen) == {3e-8}
 
 
 def test_idempotents_json(s3_file, capsys):

@@ -291,7 +291,7 @@ def test_span_defects_match_single_contractions(name, k):
     lifted = t @ products
     d_sub = np.abs(lifted - proj @ lifted).max() if k else 0.0
     d_coid = max((frob(s @ (np.eye(6) - proj).T) for s in seconds), default=0.0)
-    defects = coideal._span_defects(g, basis_alg, basis_gns, 1e-9)
+    defects = coideal._span_defects(g, basis_alg, basis_gns)
     assert abs(defects["subalgebra"] - d_sub) < 1e-12
     assert abs(defects["coideal"] - d_coid) < 1e-12
 

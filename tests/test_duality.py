@@ -636,6 +636,23 @@ def test_suite_reports_disagreeing_criteria_as_internal(monkeypatch):
     assert failed[0].detail == "forced disagreement"
 
 
+def failures(name):
+    return [(r.key, r.residual, r.detail, r.internal)
+            for r in checks.run_all_checks(catalog.builtin(name)) if not r.passed]
+
+
+def test_haar_type_oracle_fails_on_a_state_of_no_subgroup(monkeypatch):
+    monkeypatch.setattr(catalog, "subgroup_of_state", lambda name, coeffs: None)
+    assert failures("c_z2") == [
+        ("haar-type-oracle", 1.0, "state is not a subgroup state", False)]
+
+
+def test_haar_type_oracle_fails_on_a_wrong_verdict(monkeypatch):
+    # every state of a function algebra is of Haar type
+    monkeypatch.setattr(harmonic, "haar_type_test", lambda phi, tol: False)
+    assert failures("c_z2") == [("haar-type-oracle", 1.0, "", False)]
+
+
 def test_suite_reports_other_errors_as_plain_failures(monkeypatch):
     monkeypatch.setattr(lattice, "commutation_equivalences",
                         raising(NotPositive("forced stall")))

@@ -203,6 +203,23 @@ def test_generated_equals_catalog(name):
                               getattr(expected.lattice, table))
 
 
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_subgroup_state_table_round_trips(name):
+    # each catalog state maps back to its own subgroup, and each enumerated
+    # state, catalog or generated, carries its subgroup's catalog name
+    states = catalog.subgroup_states(name)
+    table, _ = catalog.group_table(name.split("_", 1)[1])
+    assert list(states) == catalog.subgroups(table)
+    for sub, (_, coeffs) in states.items():
+        assert catalog.subgroup_of_state(name, coeffs) == sub
+    for strategy in ("catalog", "generated"):
+        enum = lattice.enumerate_idempotents(catalog.builtin(name), strategy=strategy)
+        assert sorted(s.name for s in enum.states) == sorted(
+            tag for tag, _ in states.values())
+        for s in enum.states:
+            assert s.name == states[catalog.subgroup_of_state(name, s.coeffs)][0]
+
+
 @pytest.mark.parametrize("m", [4, 5, 6, 8])
 @pytest.mark.parametrize("family", ["function", "group"])
 def test_generated_finds_every_dihedral_subgroup(family, m):
