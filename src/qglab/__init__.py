@@ -33,8 +33,6 @@ from .coideal import (
     as_idempotent_state,
     coideal_from_span,
     expectation,
-    generated_subalgebra,
-    intersect,
     state_from_coideal,
     trace_expectation,
 )

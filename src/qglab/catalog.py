@@ -86,9 +86,8 @@ def recognize(group: hopf.FiniteQuantumGroup) -> str | None:
     """Name of the built-in with the same structure tensors, if any."""
     for name in BUILTIN_NAMES:
         b = builtin(name)
-        if b.dim == group.dim and all(
-                np.allclose(getattr(b, t), getattr(group, t), atol=1e-9)
-                for t in hopf.TENSORS):
+        if all(np.array_equal(getattr(b, t), getattr(group, t))
+               for t in hopf.TENSORS):
             return name
     return None
 

@@ -4,6 +4,7 @@ A left coideal is a subalgebra N whose coproduct lands in A (x) N.  For an
 idempotent state the range of its conditional expectation is such a coideal;
 conversely every coideal subalgebra here arises this way, and the inverse map
 composes the counit with the trace-preserving expectation onto the coideal.
+A Coideal is certified once, by coideal_from_span, and trusted after.
 Subspaces are stored with bases orthonormal in the GNS inner product, so all
 containment claims reduce to projection residuals.
 """
@@ -38,25 +39,19 @@ from .linalg import (
     min_eigval,
     orthonormal_columns,
     subspace_distance,
-    subspace_intersection,
 )
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Coideal:
-    """A subspace with certification flags.
+    """A unital *-closed left coideal subalgebra; only coideal_from_span builds one.
 
     basis columns are algebra-coordinate vectors, orthonormal with respect
-    to the GNS inner product.  defects records the residual behind each
-    flag.
+    to the GNS inner product.  defects records each certificate's residual.
     """
 
     home: hopf.FiniteQuantumGroup
     basis: np.ndarray
-    is_subalgebra: bool
-    is_star_closed: bool
-    is_coideal: bool
-    contains_unit: bool
     defects: dict[str, float]
 
     @property
@@ -106,18 +101,24 @@ def _span_defects(group, basis_alg, basis_gns) -> dict[str, float]:
 
 
 def coideal_from_span(group, vectors, tol: float = DEFAULT_TOL) -> Coideal:
-    """Orthonormalize a spanning set and certify its closure properties."""
+    """Orthonormalize a spanning set and certify it as a Coideal.
+
+    Raises NotASubalgebra, then NotACoideal; a NaN defect fails too.
+    """
     space = hopf.gns(group)
     basis_gns = orthonormal_columns(space.orthonormal_basis @ vectors)
     basis_alg = space.inverse_basis @ basis_gns
     defects = _span_defects(group, basis_alg, basis_gns)
-    return Coideal(
-        home=group, basis=basis_alg,
-        is_subalgebra=defects["subalgebra"] < tol,
-        is_star_closed=defects["star"] < tol,
-        is_coideal=defects["coideal"] < tol,
-        contains_unit=defects["unit"] < tol,
-        defects=defects)
+    missing = [name for name in ("subalgebra", "star", "unit")
+               if not defects[name] < tol]
+    if missing:
+        raise NotASubalgebra(
+            f"span is not a unital *-subalgebra (failing: {', '.join(missing)}; "
+            f"defects {defects})")
+    if not defects["coideal"] < tol:
+        raise NotACoideal(
+            f"input span is not a coideal (defect {defects['coideal']:.2e})")
+    return Coideal(home=group, basis=basis_alg, defects=defects)
 
 
 # ----------------------------------------------------------------------
@@ -189,39 +190,17 @@ def generated_gns_basis(n1: Coideal, n2: Coideal) -> np.ndarray:
     return current
 
 
-def generated_subalgebra(n1: Coideal, n2: Coideal, tol: float = DEFAULT_TOL) -> Coideal:
-    """Smallest *-subalgebra containing both spans, certified."""
-    return coideal_from_span(n1.home, hopf.gns(n1.home).inverse_basis
-                             @ generated_gns_basis(n1, n2), tol)
-
-
-def intersect(n1: Coideal, n2: Coideal, tol: float = DEFAULT_TOL) -> Coideal:
-    """Subspace intersection, recertified."""
-    require_same_home(n1, n2)
-    basis = subspace_intersection(n1.gns_basis(), n2.gns_basis())
-    return coideal_from_span(n1.home, hopf.gns(n1.home).inverse_basis @ basis, tol)
-
-
 def trace_expectation(coid: Coideal) -> np.ndarray:
-    """The trace-preserving conditional expectation onto a unital *-subalgebra.
+    """The trace-preserving conditional expectation onto a coideal.
 
     Exists because the invariant state is a trace here; no modular
-    correction is needed.  Only the coideal's flags are read
-    (NotASubalgebra), so no tolerance is taken: the map is the orthogonal
-    L2 projection onto the range, pulled back, hence idempotent, unital
-    and trace-preserving by construction, and a norm-one projection onto
-    a C*-subalgebra is a completely positive conditional expectation
-    (Tomiyama).  The suite's expectation-uniqueness check compares it
-    with expectation() for every state.
+    correction is needed.  The type is trusted, so no tolerance is taken:
+    the map is the orthogonal L2 projection onto the range, pulled back,
+    hence idempotent, unital and trace-preserving by construction, and a
+    norm-one projection onto a C*-subalgebra is a completely positive
+    conditional expectation (Tomiyama).  The suite's expectation-uniqueness
+    check compares it with expectation() for every state.
     """
-    missing = [name for name, ok in
-               [("subalgebra", coid.is_subalgebra),
-                ("star", coid.is_star_closed),
-                ("unit", coid.contains_unit)] if not ok]
-    if missing:
-        raise NotASubalgebra(
-            f"span is not a unital *-subalgebra (failing: {', '.join(missing)}; "
-            f"defects {coid.defects})")
     space = hopf.gns(coid.home)
     return space.inverse_basis @ coid.l2_projector() @ space.orthonormal_basis
 
@@ -251,11 +230,11 @@ def as_idempotent_state(phi, tol: float = DEFAULT_TOL,
         raise NotIdempotent(f"defects: {state_defects(f)}")
     group = f.home
     e = expectation_matrix(f)
-    coid = coideal_from_span(group, e, tol)
-    if not (coid.is_coideal and coid.is_subalgebra and coid.is_star_closed
-            and coid.contains_unit):
+    try:
+        coid = coideal_from_span(group, e, tol)
+    except (NotASubalgebra, NotACoideal) as exc:
         raise InternalInconsistency(
-            f"expectation range failed certification: {coid.defects}")
+            f"expectation range failed certification: {exc}") from exc
     proj = coid.l2_projector()
     if frob(hopf.gns(group).on_l2(e) - proj) > hopf.GAP * tol:
         raise InternalInconsistency(
@@ -272,18 +251,13 @@ def state_from_coideal(coid: Coideal, tol: float = DEFAULT_TOL,
     """The unique idempotent state whose expectation range is the coideal.
 
     The candidate is the counit composed with the trace-preserving
-    expectation, which rejects a span that is not a unital *-subalgebra
-    (NotASubalgebra); a subalgebra that is not a coideal raises
-    NotACoideal.  as_idempotent_state verifies the candidate, raising
-    NotIdempotent, and its range must come back unchanged (NotACoideal
-    otherwise).  The projection identity of the coideal's GNS projection
-    against the regular unitary is a theorem about the resulting state;
-    the property suite verifies it for every state.
+    expectation; the coideal's type is trusted.  as_idempotent_state
+    verifies the candidate, raising NotIdempotent, and its range must come
+    back unchanged (NotACoideal otherwise).  The projection identity of the
+    coideal's GNS projection against the regular unitary is a theorem about
+    the resulting state; the property suite verifies it for every state.
     """
     e = trace_expectation(coid)
-    if not coid.is_coideal:
-        raise NotACoideal(
-            f"input span is not a coideal (defect {coid.defects['coideal']:.2e})")
     group = coid.home
     candidate = Functional(home=group, coeffs=group.counit @ e, name=name)
     state = as_idempotent_state(candidate, tol)

@@ -32,8 +32,6 @@ from .coideal import (
     as_idempotent_state,
     coideal_from_span,
     generated_gns_basis,
-    generated_subalgebra,
-    intersect,
     state_from_coideal,
 )
 from .errors import CriteriaDisagree, InternalInconsistency
@@ -58,6 +56,12 @@ _SEED_STREAM = 0   # the generated seeds' fixed stream; no option reaches it
 # meet and join
 # ----------------------------------------------------------------------
 
+def _state_of_span(group, gns_basis, tol) -> IdempotentState:
+    """The state whose coideal a GNS basis spans: certified, then built."""
+    coid = coideal_from_span(group, hopf.gns(group).inverse_basis @ gns_basis, tol)
+    return state_from_coideal(coid, tol)
+
+
 def meet(a: IdempotentState, b: IdempotentState,
          tol: float = DEFAULT_TOL) -> IdempotentState:
     """The largest idempotent state dominated by both arguments.
@@ -68,8 +72,7 @@ def meet(a: IdempotentState, b: IdempotentState,
     greatest lower bound.
     """
     require_same_home(a.functional, b.functional)
-    generated = generated_subalgebra(a.coideal, b.coideal, tol)
-    return state_from_coideal(generated, tol)
+    return _state_of_span(a.home, generated_gns_basis(a.coideal, b.coideal), tol)
 
 
 @dataclasses.dataclass
@@ -89,7 +92,8 @@ def join(a, b, tol: float = DEFAULT_TOL):
     least upper bound.
     """
     require_same_home(a.functional, b.functional)
-    return state_from_coideal(intersect(a.coideal, b.coideal, tol), tol)
+    return _state_of_span(a.home, subspace_intersection(
+        a.coideal.gns_basis(), b.coideal.gns_basis()), tol)
 
 
 def join_with_diagnostics(a, b, tol: float = DEFAULT_TOL):
@@ -171,9 +175,7 @@ def _close(states, tol):
             if (s.coideal.dim == basis.shape[1]
                     and frob(s.l2_projection - proj) <= hopf.GAP * tol):
                 return idx
-        group = states[0].home
-        coid = coideal_from_span(group, hopf.gns(group).inverse_basis @ basis, tol)
-        states.append(state_from_coideal(coid, tol))
+        states.append(_state_of_span(states[0].home, basis, tol))
         return len(states) - 1
 
     done = 0

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qglab import catalog, cli, harmonic, hopf, lattice
 
@@ -133,3 +134,38 @@ def test_ill_conditioned_basis_is_not_an_internal_error(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_OK
     assert len(doc["states"]) == 6
+
+
+def near_built_in(name: str, eps: float, seed: int) -> hopf.FiniteQuantumGroup:
+    """A built-in transported through m = I + eps (G + iG'), G and G' seeded normals."""
+    g = catalog.builtin(name)
+    rng = np.random.default_rng(seed)
+    m = np.eye(g.dim) + eps * (rng.standard_normal((g.dim, g.dim))
+                               + 1j * rng.standard_normal((g.dim, g.dim)))
+    return transported(g, m)
+
+
+def check_exit_code(group, path) -> int:
+    path.write_text(hopf.save(group) + "\n")
+    return cli.main(["check", str(path)])
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "c_z4"])
+def test_input_near_a_built_in_is_not_recognized_as_it(name, tmp_path):
+    # entries about 1e-10 off the built-in's: its exact subgroup states are
+    # idempotent here only to about that, so recognition must not hand them
+    # over, and the generated states pass every check
+    moved = near_built_in(name, 1e-10, 0)
+    assert catalog.recognize(moved) is None
+    assert check_exit_code(moved, tmp_path / "near.json") == cli.EXIT_OK
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["c_s3", "cg_s3"]),
+       log_eps=st.floats(min_value=-13, max_value=-6),
+       seed=st.integers(0, 2**32 - 1))
+def test_perturbation_near_the_tolerance_passes_check(name, log_eps, seed,
+                                                      tmp_path_factory):
+    moved = near_built_in(name, 10.0 ** log_eps, seed)
+    path = tmp_path_factory.mktemp("near") / "near.json"
+    assert check_exit_code(moved, path) == cli.EXIT_OK

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qglab import catalog, coideal, harmonic, hopf, lattice, linalg
+from qglab import catalog, cli, coideal, harmonic, hopf, lattice, linalg
 from qglab.errors import InternalInconsistency, NotACoideal, NotASubalgebra, NotIdempotent
-from qglab.linalg import frob, orthonormal_columns, subspace_distance
+from qglab.linalg import frob, orthonormal_columns, subspace_distance, subspace_intersection
 from conftest import named_group, s3_subgroup
 
 
@@ -29,6 +29,14 @@ def subgroup_algebra_span(group, subgroup):
         v[g] = 1.0
         cols.append(v)
     return np.column_stack(cols)
+
+
+def delta_e_and_unit(group):
+    """Columns delta_e and 1: span{1, delta_e} is a unital *-subalgebra but no coideal."""
+    span = np.zeros((group.dim, 2), dtype=complex)
+    span[0, 0] = 1.0
+    span[:, 1] = group.unit
+    return span
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +87,7 @@ def test_range_coideal_examples(c_s3, cg_s3):
         hopf.gns(cg_s3).orthonormal_basis @ subgroup_algebra_span(cg_s3, h),
         sub.gns_basis()) < 1e-10
     for coid in (full, scalars, sub):
-        assert coid.is_coideal and coid.is_subalgebra
-        assert coid.is_star_closed and coid.contains_unit
+        assert max(coid.defects.values()) < harmonic.DEFAULT_TOL
 
 
 # ----------------------------------------------------------------------
@@ -88,18 +95,20 @@ def test_range_coideal_examples(c_s3, cg_s3):
 # ----------------------------------------------------------------------
 
 def test_is_coideal_examples(c_s3):
-    assert coideal.coideal_from_span(c_s3, c_s3.unit[:, None]).is_coideal
-    assert coideal.coideal_from_span(c_s3, np.eye(6)).is_coideal
-    delta_e = np.zeros((6, 1))
-    delta_e[0, 0] = 1.0
-    assert not coideal.coideal_from_span(c_s3, delta_e).is_coideal
+    assert coideal.coideal_from_span(c_s3, c_s3.unit[:, None]).dim == 1
+    assert coideal.coideal_from_span(c_s3, np.eye(6)).dim == 6
+    # span{delta_e} lacks the unit, so the subalgebra certificate fails first
+    with pytest.raises(NotASubalgebra, match="failing: unit;"):
+        coideal.coideal_from_span(c_s3, delta_e_and_unit(c_s3)[:, :1])
 
 
 def test_coset_algebra_is_coideal_but_point_mass_is_not(c_s3):
     table, _ = catalog.group_table("s3")
     span = coset_algebra(c_s3, table, s3_subgroup({"e", "(12)"}))
     coid = coideal.coideal_from_span(c_s3, span)
-    assert coid.dim == 3 and coid.is_coideal
+    assert coid.dim == 3 and coid.defects["coideal"] < harmonic.DEFAULT_TOL
+    with pytest.raises(NotACoideal, match="input span is not a coideal"):
+        coideal.coideal_from_span(c_s3, delta_e_and_unit(c_s3))
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +117,7 @@ def test_coset_algebra_is_coideal_but_point_mass_is_not(c_s3):
 
 def test_generated_subalgebra_scalars(c_s3):
     scalars = coideal.coideal_from_span(c_s3, c_s3.unit[:, None])
-    again = coideal.generated_subalgebra(scalars, scalars)
-    assert again.dim == 1
+    assert coideal.generated_gns_basis(scalars, scalars).shape[1] == 1
 
 
 def test_generated_coset_algebras_fill_everything(c_s3):
@@ -118,8 +126,10 @@ def test_generated_coset_algebras_fill_everything(c_s3):
         c_s3, coset_algebra(c_s3, table, s3_subgroup({"e", "(12)"})))
     n2 = coideal.coideal_from_span(
         c_s3, coset_algebra(c_s3, table, s3_subgroup({"e", "(13)"})))
-    generated = coideal.generated_subalgebra(n1, n2)
-    assert generated.dim == 6
+    generated = coideal.generated_gns_basis(n1, n2)
+    assert generated.shape[1] == 6
+    space = hopf.gns(c_s3)
+    assert coideal.coideal_from_span(c_s3, space.inverse_basis @ generated).dim == 6
 
 
 def test_generated_subgroup_algebras(cg_s3):
@@ -127,22 +137,23 @@ def test_generated_subgroup_algebras(cg_s3):
         cg_s3, subgroup_algebra_span(cg_s3, s3_subgroup({"e", "(12)"})))
     n2 = coideal.coideal_from_span(
         cg_s3, subgroup_algebra_span(cg_s3, s3_subgroup({"e", "(123)", "(132)"})))
-    assert coideal.generated_subalgebra(n1, n2).dim == 6
+    assert coideal.generated_gns_basis(n1, n2).shape[1] == 6
 
 
 def test_intersections(c_s3, cg_s3):
     table, _ = catalog.group_table("s3")
     n1 = coideal.coideal_from_span(
         c_s3, coset_algebra(c_s3, table, s3_subgroup({"e", "(12)"})))
-    assert coideal.intersect(n1, n1).dim == n1.dim
+    crossing = lambda a, b: subspace_intersection(a.gns_basis(), b.gns_basis())
+    assert crossing(n1, n1).shape[1] == n1.dim
     n2 = coideal.coideal_from_span(
         c_s3, coset_algebra(c_s3, table, s3_subgroup({"e", "(13)"})))
-    assert coideal.intersect(n1, n2).dim == 1
+    assert crossing(n1, n2).shape[1] == 1
     m1 = coideal.coideal_from_span(
         cg_s3, subgroup_algebra_span(cg_s3, s3_subgroup({"e", "(12)"})))
     m2 = coideal.coideal_from_span(
         cg_s3, subgroup_algebra_span(cg_s3, s3_subgroup({"e", "(123)", "(132)"})))
-    assert coideal.intersect(m1, m2).dim == 1
+    assert crossing(m1, m2).shape[1] == 1
 
 
 def test_gns_projection_ranks(c_s3):
@@ -188,11 +199,9 @@ def test_typed_state_is_trusted(c_s3):
 
 
 def test_trace_expectation_requires_unital_star_subalgebra(c_s3):
-    delta_e = np.zeros((6, 1))
-    delta_e[0, 0] = 1.0
-    no_unit = coideal.coideal_from_span(c_s3, delta_e)
-    with pytest.raises(NotASubalgebra):
-        coideal.trace_expectation(no_unit)
+    # no Coideal without the unit exists to take an expectation onto
+    with pytest.raises(NotASubalgebra, match="failing: unit;"):
+        coideal.coideal_from_span(c_s3, delta_e_and_unit(c_s3)[:, :1])
 
 
 # ----------------------------------------------------------------------
@@ -215,20 +224,31 @@ def test_state_from_coideal_examples(c_s3):
 
 
 def test_state_from_coideal_rejects_non_coideal(c_s3):
-    # span{1, delta_e} is a unital *-subalgebra but not a coideal
-    span = np.zeros((6, 2), dtype=complex)
-    span[:, 0] = c_s3.unit
-    span[0, 1] = 1.0
-    not_coideal = coideal.coideal_from_span(c_s3, span)
-    assert not_coideal.is_subalgebra and not not_coideal.is_coideal
+    # span{1, delta_e} is a unital *-subalgebra but not a coideal, so no
+    # Coideal is built to take a state from
+    span = delta_e_and_unit(c_s3)
     with pytest.raises(NotACoideal):
-        coideal.state_from_coideal(not_coideal)
-    # span{delta_e} is a subalgebra without the unit: the trace-preserving
-    # expectation rejects it before the coideal flag is read
-    no_unit = coideal.coideal_from_span(c_s3, span[:, 1:])
-    assert not no_unit.contains_unit
-    with pytest.raises(NotASubalgebra):
-        coideal.state_from_coideal(no_unit)
+        coideal.coideal_from_span(c_s3, span)
+    # span{delta_e} is a subalgebra without the unit: the subalgebra
+    # certificate rejects it before the coideal defect is read
+    with pytest.raises(NotASubalgebra, match="failing: unit;"):
+        coideal.coideal_from_span(c_s3, span[:, :1])
+
+
+def test_expectation_range_failing_certification_is_internal(c_s3, tmp_path,
+                                                             monkeypatch, capsys):
+    # a state whose expectation range is no coideal contradicts a theorem:
+    # an internal error (exit 3), never a rejected input
+    def rejecting(group, vectors, tol=harmonic.DEFAULT_TOL):
+        raise NotACoideal("input span is not a coideal (defect 1.00e+00)")
+    monkeypatch.setattr(coideal, "coideal_from_span", rejecting)
+    with pytest.raises(InternalInconsistency,
+                       match="expectation range failed certification"):
+        coideal.as_idempotent_state(harmonic.haar_functional(c_s3))
+    path = tmp_path / "c_s3.json"
+    path.write_text(hopf.save(c_s3) + "\n")
+    assert cli.main(["idempotents", str(path)]) == cli.EXIT_INTERNAL
+    assert "expectation range failed certification" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
@@ -265,9 +285,9 @@ def test_order_criteria_through_coideal_operations(c_s3):
                 b.functional) < 1e-9
             comp = frob(a.conditional_expectation @ b.conditional_expectation
                         - b.conditional_expectation) < 1e-7
-            crossing = coideal.intersect(a.coideal, b.coideal)
-            contain = subspace_distance(crossing.gns_basis(),
-                                        b.coideal.gns_basis()) < 1e-7
+            crossing = subspace_intersection(a.coideal.gns_basis(),
+                                             b.coideal.gns_basis())
+            contain = subspace_distance(crossing, b.coideal.gns_basis()) < 1e-7
             porder = frob(a.l2_projection @ b.l2_projection
                           - b.l2_projection) < 1e-7
             assert conv == comp == contain == porder

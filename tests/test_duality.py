@@ -457,7 +457,7 @@ def test_property_suite_call_counts(monkeypatch):
     calls = {"validate": 0, "join": 0, "dual_state": 0,
              "is_idempotent_state": 0, "preceq": 0, "expectation": 0,
              "choi_min_eig": 0, "state_defects": 0, "codual": 0,
-             "intersect": 0, "state_from_coideal": 0, "coideal_from_span": 0,
+             "state_from_coideal": 0, "coideal_from_span": 0,
              "_close": 0, "build_lattice": 0}
 
     def counted(module, attr, key):
@@ -476,16 +476,16 @@ def test_property_suite_call_counts(monkeypatch):
     counted(lattice, "build_lattice", "build_lattice")
     for module in (harmonic, coideal, lattice, duality, checks):
         for attr in ("is_idempotent_state", "preceq", "choi_min_eig",
-                     "state_defects", "codual", "intersect",
+                     "state_defects", "codual",
                      "state_from_coideal", "coideal_from_span"):
             if hasattr(module, attr):
                 counted(module, attr, attr)
     duality.regular_unitary.cache_clear()
     duality.dual.cache_clear()
     checks.run_all_checks(catalog.builtin("c_s3"))
-    assert {k: calls[k] for k in ("validate", "join", "dual_state", "intersect",
+    assert {k: calls[k] for k in ("validate", "join", "dual_state",
                                   "_close", "build_lattice", "coideal_from_span")} == {
-        "validate": 1, "join": 21, "dual_state": 12, "intersect": 0,
+        "validate": 1, "join": 21, "dual_state": 12,
         "_close": 1, "build_lattice": 0, "coideal_from_span": 48}
     assert calls["is_idempotent_state"] <= 30
     assert calls["preceq"] <= 72
