@@ -18,7 +18,16 @@ import numpy as np
 
 from . import catalog, coideal, duality, harmonic, hopf, lattice
 from .errors import CriteriaDisagree, QuantumGroupError
-from .linalg import dagger, frob, nullspace, orthonormal_columns, subspace_distance, sup
+from .linalg import (
+    RANK_TOL,
+    _rank,
+    dagger,
+    frob,
+    nullspace,
+    orthonormal_columns,
+    subspace_distance,
+    sup,
+)
 
 DEFAULT_SEED = 1729   # seeds the suite's random probes
 
@@ -37,7 +46,8 @@ class CheckContext:
 
     The group, its GNS space and the seeded stream are set up front, and
     the stages fill in the enumeration and the dual pair.  The per-state
-    expectations, dual states and co-duals are computed at first use, once.
+    expectations, dual states and co-duals, and the table of convolutions
+    of every ordered pair of states, are computed at first use, once.
     """
 
     def __init__(self, group, axiom_tol, tol, seed):
@@ -56,7 +66,16 @@ class CheckContext:
 
     @functools.cached_property
     def dual_states(self) -> list[harmonic.IdempotentState]:
-        return [duality.dual_state(s, self.pair, self.tol) for s in self.states]
+        return duality.dual_states(self.states, self.pair, self.tol)
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        return np.array([s.coeffs for s in self.states])
+
+    @functools.cached_property
+    def convolutions(self) -> np.ndarray:
+        """[i, j]: the coefficients of states[i] * states[j]."""
+        return harmonic.convolution_table(self.group, self.coeffs, self.coeffs)
 
     @functools.cached_property
     def coduals(self) -> list[coideal.Coideal]:
@@ -168,27 +187,38 @@ def _haar_type_oracle(c):
     return worst, ""
 
 
+def _by_width(widths, pairs) -> dict[int, list]:
+    """The pairs grouped by a width each has, in first-seen order of widths."""
+    groups = {}
+    for pair, width in zip(pairs, widths):
+        groups.setdefault(width, []).append(pair)
+    return groups
+
+
 def _order_via_coideals(c):
-    tol, es = c.tol, c.expectations
+    tol, k = c.tol, len(c.states)
+    es = np.array(c.expectations)
+    projs = np.array([s.l2_projection for s in c.states])
     bases = [s.coideal.gns_basis() for s in c.states]
-    disagreements = 0
-    for i, a in enumerate(c.states):
-        for j, b in enumerate(c.states):
-            conv = sup(harmonic.convolve(a.functional, b.functional).coeffs
-                       - b.coeffs) < tol
-            comp = frob(es[i] @ es[j] - es[j]) < hopf.GAP * tol
-            # N_b in N_a: the sum N_a + N_b has N_a's dimension
-            contain = (orthonormal_columns(np.hstack([bases[i], bases[j]])).shape[1]
-                       == bases[i].shape[1])
-            porder = frob(a.l2_projection @ b.l2_projection
-                          - b.l2_projection) < hopf.GAP * tol
-            if len({conv, comp, contain, porder}) != 1:
-                disagreements += 1
-    return float(disagreements), ""
+    dims = [b.shape[1] for b in bases]
+    conv = np.abs(c.convolutions - c.coeffs).max(axis=-1) < tol
+    comp = np.linalg.norm(es[:, None] @ es - es, axis=(-2, -1)) < hopf.GAP * tol
+    porder = np.linalg.norm(projs[:, None] @ projs - projs, axis=(-2, -1)) < hopf.GAP * tol
+    # N_b in N_a: the sum N_a + N_b has N_a's dimension; one batched SVD
+    # per width of the joined bases
+    contain = np.zeros((k, k), dtype=bool)
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    for batch in _by_width([dims[i] + dims[j] for i, j in pairs], pairs).values():
+        values = np.linalg.svd(np.array([np.hstack([bases[i], bases[j]]) for i, j in batch]),
+                               compute_uv=False)
+        for (i, j), s in zip(batch, values):
+            contain[i, j] = _rank(s, RANK_TOL) == dims[i]
+    answers = np.array([conv, comp, contain, porder])
+    return float(np.count_nonzero(answers.any(axis=0) & ~answers.all(axis=0))), ""
 
 
 def _bijection(c):
-    backs = [coideal.state_from_coideal(s.coideal, c.tol) for s in c.states]
+    backs = coideal.states_from_coideals([s.coideal for s in c.states], c.tol)
     return _largest(max(sup(back.coeffs - s.coeffs),
                         subspace_distance(back.coideal.gns_basis(), s.coideal.gns_basis()))
                     for s, back in zip(c.states, backs)), ""
@@ -211,29 +241,29 @@ def _join_paths(c):
     # join, and "intersection" is the alternating-projection limit's
     # distance to the L2 projection of the table's join
     worst_two, worst_l2, worst_slice = 0.0, 0.0, 0.0
-    for i, a in enumerate(c.states):
-        for j in range(i, len(c.states)):
-            limit, diag = lattice.join_with_diagnostics(a, c.states[j], c.tol)
-            joined = c.states[c.lat.join_table[i, j]]
-            table = sup(limit.coeffs - joined.coeffs)
-            worst_two = max(worst_two, diag.two_path_distance, table)
-            worst_l2 = max(worst_l2, frob(diag.l2_limit - joined.l2_projection))
-            worst_slice = max(worst_slice, diag.slice_residual)
+    rows, cols = np.triu_indices(len(c.states))
+    found = lattice.joins_with_diagnostics([c.states[i] for i in rows],
+                                           [c.states[j] for j in cols], c.tol)
+    for i, j, (limit, diag) in zip(rows, cols, found):
+        joined = c.states[c.lat.join_table[i, j]]
+        table = sup(limit.coeffs - joined.coeffs)
+        worst_two = max(worst_two, diag.two_path_distance, table)
+        worst_l2 = max(worst_l2, frob(diag.l2_limit - joined.l2_projection))
+        worst_slice = max(worst_slice, diag.slice_residual)
     return max(worst_two, worst_l2, worst_slice), (
         f"paths {worst_two:.1e}, intersection {worst_l2:.1e}, "
         f"slices {worst_slice:.1e}")
 
 
 def _commutation(c):
-    for i, a in enumerate(c.states):
-        for j, b in enumerate(c.states):
-            lattice.commutation_equivalences(
-                a, b, c.tol, joined=c.states[c.lat.join_table[i, j]])
+    lattice.commutation_table(c.states, c.states, c.coeffs[c.lat.join_table], c.tol,
+                              (c.convolutions, c.convolutions))
     return 0.0, f"{len(c.states) ** 2} pairs"
 
 
 def modular_law(lat: lattice.IdempotentLattice,
-                tol: float = hopf.DERIVED_TOL) -> dict[tuple[int, int, int], float]:
+                tol: float = hopf.DERIVED_TOL,
+                convolutions=None) -> dict[tuple[int, int, int], float]:
     """The conditional modular law, read off the lattice's tables.
 
     Hypotheses on a triple (omega, mu, rho) of state indices: rho precedes
@@ -242,42 +272,54 @@ def modular_law(lat: lattice.IdempotentLattice,
     coideals.  Under these the two bracketings agree: omega meet (mu join
     rho) equals (omega meet mu) join rho.  The tables were built by the
     operations and verified extremal, so composing indices composes the
-    operations.  Returns the distance between the bracketings for every
-    triple that meets the hypotheses.
+    operations.  convolutions[r, m], the coefficients of states[r] *
+    states[m], is computed when the caller does not hold it.  The plain
+    products of each pair of coideals are spanned by one batched SVD per
+    pair of coideal dimensions.  Returns the distance between the
+    bracketings for every triple that meets the hypotheses.
     """
     states = lat.states
     group = states[0].home
     k = len(states)
-    commute = [[sup(states[lat.join_table[r, m]].coeffs - harmonic.convolve(
-                    states[r].functional, states[m].functional).coeffs) < tol
-                for m in range(k)] for r in range(k)]
+    coeffs = np.array([s.coeffs for s in states])
+    if convolutions is None:
+        convolutions = harmonic.convolution_table(group, coeffs, coeffs)
+    commute = np.abs(coeffs[lat.join_table] - convolutions).max(axis=-1) < tol
     t = hopf.gns(group).orthonormal_basis
-    distances = {}
-    for o in range(k):
-        for m in range(k):
-            products = coideal._products(group, states[o].coideal.basis,
-                                         states[m].coideal.basis)
-            span = orthonormal_columns(t @ products)
+    bases = [s.coideal.basis for s in states]
+    pairs = [(o, m) for o in range(k) for m in range(k)]
+    plain = {}
+    for group_pairs in _by_width([(bases[o].shape[1], bases[m].shape[1]) for o, m in pairs],
+                                 pairs).values():
+        lefts, rights = (np.array([bases[pair[side]] for pair in group_pairs])
+                         for side in (0, 1))
+        u, s, _ = np.linalg.svd(t @ coideal._products(group, lefts, rights),
+                                full_matrices=False)
+        for (o, m), cols, values in zip(group_pairs, u, s):
             meet_coideal = states[lat.meet_table[o, m]].coideal
-            if subspace_distance(span, meet_coideal.gns_basis()) >= hopf.GAP * tol:
-                continue
-            for r in range(k):
-                if lat.order[r, o] and commute[r][m]:
-                    lhs = lat.meet_table[o, lat.join_table[m, r]]
-                    rhs = lat.join_table[lat.meet_table[o, m], r]
-                    distances[o, m, r] = sup(states[lhs].coeffs - states[rhs].coeffs)
+            plain[o, m] = subspace_distance(cols[:, :_rank(values, RANK_TOL)],
+                                            meet_coideal.gns_basis()) < hopf.GAP * tol
+    distances = {}
+    for o, m in pairs:
+        if not plain[o, m]:
+            continue
+        for r in range(k):
+            if lat.order[r, o] and commute[r, m]:
+                lhs = lat.meet_table[o, lat.join_table[m, r]]
+                rhs = lat.join_table[lat.meet_table[o, m], r]
+                distances[o, m, r] = sup(states[lhs].coeffs - states[rhs].coeffs)
     return distances
 
 
 def _modular_law(c):
-    distances = modular_law(c.lat, c.tol)
+    distances = modular_law(c.lat, c.tol, c.convolutions)
     return _largest(distances.values()), f"{len(distances)} applicable triples"
 
 
 def _double_dual(c):
     pair2 = duality.dual(c.pair.dual_group, c.tol)
-    return _largest(sup(duality.dual_state(ds, pair2, c.tol).coeffs - s.coeffs)
-                    for s, ds in zip(c.states, c.dual_states)), ""
+    backs = duality.dual_states(c.dual_states, pair2, c.tol)
+    return _largest(sup(back.coeffs - s.coeffs) for s, back in zip(c.states, backs)), ""
 
 
 def _dual_support_slice(c):
@@ -296,8 +338,8 @@ def _codual_involution(c):
 
 def _codual_state(c):
     # the dual state by a second route: the state of the co-dual coideal
-    return _largest(sup(coideal.state_from_coideal(once, c.tol).coeffs - ds.coeffs)
-                    for once, ds in zip(c.coduals, c.dual_states)), ""
+    return _largest(sup(state.coeffs - ds.coeffs) for state, ds in zip(
+        coideal.states_from_coideals(c.coduals, c.tol), c.dual_states)), ""
 
 
 def _exchange(c):
@@ -309,10 +351,12 @@ def _exchange(c):
 
 
 def _qperp_order(c):
-    mismatches = sum(
-        bool(c.lat.order[i, j]) != (frob(c.group.multiply(b.q_perp, a.q_perp) - a.q_perp) < c.tol)
-        for i, a in enumerate(c.states) for j, b in enumerate(c.states))
-    return float(mismatches), ""
+    # products[j, i] = q_j q_i; state i precedes state j when q_j q_i = q_i
+    n = c.group.dim
+    q = np.array([s.q_perp for s in c.states])
+    products = q @ (q @ c.group.mult.reshape(n, n * n)).reshape(-1, n, n)
+    below = np.linalg.norm(products - q, axis=-1).T < c.tol
+    return float(np.count_nonzero(c.lat.order != below)), ""
 
 
 def _projection_identity_defect(w: np.ndarray, p: np.ndarray) -> float:

@@ -26,13 +26,15 @@ from .harmonic import (
     Functional,
     IdempotentState,
     as_functional,
-    expectation_matrix,
-    is_idempotent_state,
+    expectation_matrices,
+    idempotent_rows,
     require_same_home,
     state_defects,
-    support_projection,
+    support_projections,
 )
 from .linalg import (
+    RANK_TOL,
+    _rank,
     containment_defect,
     dagger,
     frob,
@@ -71,15 +73,16 @@ class Coideal:
 
 
 def _products(group, left, right) -> np.ndarray:
-    """All products l_i r_j of the columns of left and right.
+    """All products l_i r_j of the columns of left and right, or of each pair of stacks.
 
     Column i*k + j of the result, for right with k columns, is l_i r_j.
     Contracted one factor at a time, as matmuls on reshaped tensors (at
     small n, tensordot's own overhead outweighs the contraction).
     """
-    n, k = left.shape
-    partial = (left.T @ group.mult.reshape(n, n * n)).reshape(k, n, n)
-    return (partial.transpose(0, 2, 1) @ right).transpose(1, 0, 2).reshape(n, -1)
+    *stack, n, k = left.shape
+    partial = (left.swapaxes(-1, -2) @ group.mult.reshape(n, n * n)).reshape(*stack, k, n, n)
+    return (partial.swapaxes(-1, -2) @ right[..., None, :, :]).swapaxes(-3, -2).reshape(
+        *stack, n, -1)
 
 
 def _span_defects(group, basis_alg, basis_gns) -> dict[str, float]:
@@ -103,22 +106,36 @@ def _span_defects(group, basis_alg, basis_gns) -> dict[str, float]:
 def coideal_from_span(group, vectors, tol: float = DEFAULT_TOL) -> Coideal:
     """Orthonormalize a spanning set and certify it as a Coideal.
 
-    Raises NotASubalgebra, then NotACoideal; a NaN defect fails too.
+    Raises NotASubalgebra, then NotACoideal; a NaN defect fails too.  The
+    one-span case of coideals_from_spans.
+    """
+    return coideals_from_spans(group, np.asarray(vectors)[None], tol)[0]
+
+
+def coideals_from_spans(group, spans, tol: float = DEFAULT_TOL) -> list[Coideal]:
+    """coideal_from_span on each of a stack of equally shaped spanning sets.
+
+    The orthonormalizing SVDs run as one batch; each span is then
+    certified in turn, so the first span that fails raises.
     """
     space = hopf.gns(group)
-    basis_gns = orthonormal_columns(space.orthonormal_basis @ vectors)
-    basis_alg = space.inverse_basis @ basis_gns
-    defects = _span_defects(group, basis_alg, basis_gns)
-    missing = [name for name in ("subalgebra", "star", "unit")
-               if not defects[name] < tol]
-    if missing:
-        raise NotASubalgebra(
-            f"span is not a unital *-subalgebra (failing: {', '.join(missing)}; "
-            f"defects {defects})")
-    if not defects["coideal"] < tol:
-        raise NotACoideal(
-            f"input span is not a coideal (defect {defects['coideal']:.2e})")
-    return Coideal(home=group, basis=basis_alg, defects=defects)
+    u, s, _ = np.linalg.svd(space.orthonormal_basis @ spans, full_matrices=False)
+    coids = []
+    for cols, values in zip(u, s):
+        basis_gns = cols[:, :_rank(values, RANK_TOL)]
+        basis_alg = space.inverse_basis @ basis_gns
+        defects = _span_defects(group, basis_alg, basis_gns)
+        missing = [name for name in ("subalgebra", "star", "unit")
+                   if not defects[name] < tol]
+        if missing:
+            raise NotASubalgebra(
+                f"span is not a unital *-subalgebra (failing: {', '.join(missing)}; "
+                f"defects {defects})")
+        if not defects["coideal"] < tol:
+            raise NotACoideal(
+                f"input span is not a coideal (defect {defects['coideal']:.2e})")
+        coids.append(Coideal(home=group, basis=basis_alg, defects=defects))
+    return coids
 
 
 # ----------------------------------------------------------------------
@@ -213,55 +230,93 @@ def as_idempotent_state(phi, tol: float = DEFAULT_TOL,
                         name: str | None = None) -> IdempotentState:
     """The one verifier of idempotent states; the type is trusted after it.
 
-    Verified here, once: the functional is an idempotent state, the range
-    of its expectation is a unital *-closed coideal subalgebra, the
-    expectation embeds as the orthogonal projection onto that range, and
-    the support projection lies inside it.  An IdempotentState given
-    without a new name is returned unchanged, trusted at the tolerance it
-    was built with.  The map-level certificates (complete positivity,
-    bimodularity) live in expectation().
+    The one-functional case of as_idempotent_states.  An IdempotentState
+    given without a new name is returned unchanged; a new name makes a
+    new functional, verified as any other.
     """
     if isinstance(phi, IdempotentState) and name in (None, phi.name):
         return phi
     f = as_functional(phi)
     if name is not None and f.name != name:
         f = Functional(home=f.home, coeffs=f.coeffs, name=name)
-    if not is_idempotent_state(f, tol):
-        raise NotIdempotent(f"defects: {state_defects(f)}")
-    group = f.home
-    e = expectation_matrix(f)
+    return as_idempotent_states([f], tol)[0]
+
+
+def as_idempotent_states(functionals, tol: float = DEFAULT_TOL) -> list[IdempotentState]:
+    """Verify each of a list of functionals on one quantum group as an idempotent state.
+
+    Verified here, once: the functional is an idempotent state, the range
+    of its expectation is a unital *-closed coideal subalgebra, the
+    expectation embeds as the orthogonal projection onto that range, and
+    the support projection lies inside it.  The state tests (with a
+    batched eigvalsh), the expectations, their range SVDs and the
+    embedding run as stacks, then each certificate in turn; every test
+    raises for the first functional that fails it.  An IdempotentState is
+    returned unchanged, trusted at the tolerance it was built with.  The
+    map-level certificates (complete positivity, bimodularity) live in
+    expectation().
+    """
+    out = list(functionals)
+    todo = [i for i, phi in enumerate(out) if not isinstance(phi, IdempotentState)]
+    if not todo:
+        return out
+    fs = [as_functional(out[i]) for i in todo]
+    for f in fs[1:]:
+        require_same_home(fs[0], f)
+    group = fs[0].home
+    coeffs = np.array([f.coeffs for f in fs])
+    for f, ok in zip(fs, idempotent_rows(group, coeffs, tol)):
+        if not ok:
+            raise NotIdempotent(f"defects: {state_defects(f)}")
+    es = expectation_matrices(group, coeffs)
     try:
-        coid = coideal_from_span(group, e, tol)
+        coids = coideals_from_spans(group, es, tol)
     except (NotASubalgebra, NotACoideal) as exc:
         raise InternalInconsistency(
             f"expectation range failed certification: {exc}") from exc
-    proj = coid.l2_projector()
-    if frob(hopf.gns(group).on_l2(e) - proj) > hopf.GAP * tol:
-        raise InternalInconsistency(
-            "expectation does not embed as the orthogonal range projection")
-    qperp = support_projection(f, tol)
-    if not coid.contains(qperp, hopf.GAP * tol):
-        raise InternalInconsistency("support projection lies outside the coideal")
-    return IdempotentState(functional=f, q_perp=qperp, coideal=coid,
-                           conditional_expectation=e, l2_projection=proj)
+    projs = np.array([coid.l2_projector() for coid in coids])
+    for gap in np.linalg.norm(hopf.gns(group).on_l2(es) - projs, axis=(-2, -1)):
+        if gap > hopf.GAP * tol:
+            raise InternalInconsistency(
+                "expectation does not embed as the orthogonal range projection")
+    qperps = support_projections(fs, tol)
+    for coid, qperp in zip(coids, qperps):
+        if not coid.contains(qperp, hopf.GAP * tol):
+            raise InternalInconsistency("support projection lies outside the coideal")
+    for i, f, qperp, coid, e, proj in zip(todo, fs, qperps, coids, es, projs):
+        out[i] = IdempotentState(functional=f, q_perp=qperp, coideal=coid,
+                                 conditional_expectation=e, l2_projection=proj)
+    return out
 
 
 def state_from_coideal(coid: Coideal, tol: float = DEFAULT_TOL,
                        name: str | None = None) -> IdempotentState:
     """The unique idempotent state whose expectation range is the coideal.
 
-    The candidate is the counit composed with the trace-preserving
-    expectation; the coideal's type is trusted.  as_idempotent_state
-    verifies the candidate, raising NotIdempotent, and its range must come
-    back unchanged (NotACoideal otherwise).  The projection identity of the
-    coideal's GNS projection against the regular unitary is a theorem about
-    the resulting state; the property suite verifies it for every state.
+    The one-coideal case of states_from_coideals.
     """
-    e = trace_expectation(coid)
-    group = coid.home
-    candidate = Functional(home=group, coeffs=group.counit @ e, name=name)
-    state = as_idempotent_state(candidate, tol)
-    gap = subspace_distance(state.coideal.gns_basis(), coid.gns_basis())
-    if gap > hopf.GAP * tol:
-        raise NotACoideal(f"state's range differs from the input coideal ({gap:.2e})")
-    return state
+    return states_from_coideals([coid], tol, [name])[0]
+
+
+def states_from_coideals(coids, tol: float = DEFAULT_TOL,
+                         names=None) -> list[IdempotentState]:
+    """The unique idempotent state of each coideal, whose expectation range it is.
+
+    The candidate is the counit composed with the trace-preserving
+    expectation; the coideal's type is trusted.  as_idempotent_states
+    verifies the candidates, raising NotIdempotent, and each range must
+    come back unchanged (NotACoideal otherwise).  The projection identity
+    of the coideal's GNS projection against the regular unitary is a
+    theorem about the resulting state; the property suite verifies it for
+    every state.
+    """
+    group = coids[0].home
+    candidates = [Functional(home=group, coeffs=group.counit @ trace_expectation(coid),
+                             name=name)
+                  for coid, name in zip(coids, names or [None] * len(coids))]
+    states = as_idempotent_states(candidates, tol)
+    for coid, state in zip(coids, states):
+        gap = subspace_distance(state.coideal.gns_basis(), coid.gns_basis())
+        if gap > hopf.GAP * tol:
+            raise NotACoideal(f"state's range differs from the input coideal ({gap:.2e})")
+    return states

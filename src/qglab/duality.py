@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hopf
-from .coideal import Coideal, coideal_from_span, as_idempotent_state
+from .coideal import Coideal, as_idempotent_states, coideal_from_span
 from .errors import ConventionFailure, InternalInconsistency
 from .harmonic import (
     DEFAULT_TOL,
@@ -36,7 +36,7 @@ from .harmonic import (
     state_from_qperp,
     sup,
 )
-from .linalg import dagger, frob, nullspace
+from .linalg import dagger, frob, hermitize
 
 
 # ----------------------------------------------------------------------
@@ -52,6 +52,7 @@ class RegularUnitary:
 
 
 W_KIND = "coproduct-first-factor"   # W(a (x) b) = coproduct(a)(1 (x) b)
+CODUAL_CUT = 1e-8   # the kernel cut of codual's Gram matrix, times r * max |P|
 
 
 def _galois_matrix(group: hopf.FiniteQuantumGroup) -> np.ndarray:
@@ -229,19 +230,22 @@ def dual(group: hopf.FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> DualPair:
 # co-duals of coideals
 # ----------------------------------------------------------------------
 
-def _codual_system(comult: np.ndarray, legs: np.ndarray,
-                   basis: np.ndarray) -> np.ndarray:
-    """The (n**3 * r, n) matrix of the co-dual membership equation.
-
-    Column i is (sum_jk comult[i, j, k] legs[j] (x) legs[k] B) - legs[i] (x) B
-    for an n x r matrix B, with rows indexed by (a, b, c, d); the first term
-    is contracted one leg at a time, in place of one n**7 loop.
-    """
-    n = comult.shape[0]
-    lhs = np.tensordot(np.tensordot(comult, legs, axes=([1], [0])),
-                       legs @ basis, axes=([1], [0])).transpose(0, 1, 3, 2, 4)
-    rhs = np.einsum("iac,bd->iabcd", legs, basis)
-    return (lhs - rhs).reshape(n, -1).T
+def _codual_gram(coid: Coideal, pair: DualPair) -> tuple[np.ndarray, float]:
+    """The Gram matrix G = A*A of codual's membership map A, and its kernel cut."""
+    c = pair.dual_group.comult
+    legs = pair.regular.second_legs
+    n = legs.shape[0]
+    basis = coid.gns_basis()
+    r = basis.shape[1]
+    proj = basis @ dagger(basis)
+    flat = legs.reshape(n, n * n)
+    p = flat.conj() @ flat.T                                  # tr(L_j* L_j')
+    q = flat.conj() @ (legs @ proj).reshape(n, n * n).T       # tr(B* L_k* L_k' B)
+    s = flat.conj() @ proj.reshape(-1)                        # tr(B* L_k* B)
+    cpq = np.tensordot(np.tensordot(c.conj(), p, axes=([1], [0])), q, axes=([1], [0]))
+    cross = (c.conj() @ s) @ p
+    gram = cpq.reshape(n, n * n) @ c.reshape(n, n * n).T - cross - dagger(cross) + r * p
+    return hermitize(gram), CODUAL_CUT * r * float(np.abs(p).max())
 
 
 def codual(coid: Coideal, pair: DualPair, tol: float = DEFAULT_TOL) -> Coideal:
@@ -249,18 +253,31 @@ def codual(coid: Coideal, pair: DualPair, tol: float = DEFAULT_TOL) -> Coideal:
 
     The co-dual of a coideal N is the set of dual elements y with
     (coproduct of y)(1 (x) P) = y (x) P, where P = BB* projects L2 onto N
-    and B is N's orthonormal L2 basis; |X(1 (x) P)| = |X(1 (x) B)|, so the
-    system on B (n**3 r rows, not n**4) has the same kernel.  A commutant
-    of the one-sided multiplication image of N lands on the modular-conjugate
+    and B is N's orthonormal L2 basis, with r columns; |X(1 (x) P)| =
+    |X(1 (x) B)|, so it is the kernel of the map A taking y to
+    sum_ijk c[i, j, k] y_i L_j (x) L_k B - sum_i y_i L_i (x) B, with c the
+    dual coproduct and L_k the second legs of W.  A commutant of the
+    one-sided multiplication image of N lands on the modular-conjugate
     copy instead, which is a coideal for the opposite coproduct; this form
-    is convention-stable.  coideal_from_span certifies the kernel.  The way
-    back is the co-dual over dual(pair.dual_group), whose dual group has
-    the group's tensors, moved onto the group by coideal_from_span.
+    is convention-stable.
+
+    A is never formed (n**3 r x n entries, about 127 MB at n = 24): its
+    kernel is that of the n x n Gram matrix G = A*A, which the traces
+    P[j, j'] = tr(L_j* L_j'), Q[k, k'] = tr(B* L_k* L_k' B) and
+    S[k] = tr(B* L_k* B) give as G = c* (P (x) Q) c^T - R - R* + r P,
+    with R = (c* S) P.  The kernel is spanned by the eigenvectors of G with
+    eigenvalue at most CODUAL_CUT * r * max |P|.  The cut scales with the
+    problem, not with G's largest eigenvalue: G's entries are sums of terms
+    of that size, and on the scalars (the Haar state's coideal) G = 0.  On
+    every example the kernel's eigenvalues lie below 2.1e-15 * r * max |P|
+    and the others at 2 r max |P|.  coideal_from_span certifies the
+    kernel.  The way back is the co-dual over dual(pair.dual_group), whose
+    dual group has the group's tensors, moved onto the group by
+    coideal_from_span.
     """
-    dual_group = pair.dual_group
-    kernel = nullspace(_codual_system(dual_group.comult, pair.regular.second_legs,
-                                      coid.gns_basis()))
-    return coideal_from_span(dual_group, kernel, tol)
+    gram, cut = _codual_gram(coid, pair)
+    evals, vecs = np.linalg.eigh(gram)
+    return coideal_from_span(pair.dual_group, vecs[:, evals <= cut], tol)
 
 
 # ----------------------------------------------------------------------
@@ -271,25 +288,35 @@ def dual_state(state: IdempotentState, pair: DualPair,
                tol: float = DEFAULT_TOL) -> IdempotentState:
     """The idempotent state on the dual attached to an idempotent state.
 
+    The one-state case of dual_states.
+    """
+    return dual_states([state], pair, tol)[0]
+
+
+def dual_states(states, pair: DualPair, tol: float = DEFAULT_TOL) -> list[IdempotentState]:
+    """The idempotent state on the dual attached to each idempotent state.
+
     The coefficient vector of the state, read as an element of the dual
     algebra, is a group-like projection; compressing the dual invariant
     state by it gives the dual state.  Verified: slicing the regular
     unitary by the dual state returns the original support projection, and
     the dual state's support is the original coefficient vector.  The
-    argument's type certifies it; the dual state is verified by
-    as_idempotent_state.  That its range is the co-dual of the original
-    range follows through the state-coideal bijection; the suite's
-    codual-state-consistency check verifies it for every state.
+    arguments' type certifies them; the dual states are verified together
+    by as_idempotent_states.  That a dual state's range is the co-dual of
+    the original range follows through the state-coideal bijection; the
+    suite's codual-state-consistency check verifies it for every state.
     """
     dual_group = pair.dual_group
-    name = f"dual({state.name})" if state.name else None
-    checked = state_from_qperp(dual_group, state.coeffs, tol, name=name)
-    out = as_idempotent_state(checked, tol)
-    if sup(out.coeffs - state.q_perp) > hopf.GAP * tol:
-        raise InternalInconsistency(
-            "slicing the regular unitary by the dual state "
-            "does not return the support projection")
-    if sup(out.q_perp - state.coeffs) > hopf.GAP * tol:
-        raise InternalInconsistency(
-            "dual state's support is not the original coefficient vector")
-    return out
+    outs = as_idempotent_states(
+        [state_from_qperp(dual_group, state.coeffs, tol,
+                          name=f"dual({state.name})" if state.name else None)
+         for state in states], tol)
+    for state, out in zip(states, outs):
+        if sup(out.coeffs - state.q_perp) > hopf.GAP * tol:
+            raise InternalInconsistency(
+                "slicing the regular unitary by the dual state "
+                "does not return the support projection")
+        if sup(out.q_perp - state.coeffs) > hopf.GAP * tol:
+            raise InternalInconsistency(
+                "dual state's support is not the original coefficient vector")
+    return outs

@@ -27,10 +27,11 @@ from .errors import (
 )
 from .linalg import (
     containment_defect,
+    containment_defects,
     dagger,
     frob,
     hermitize,
-    min_eigval,
+    projector,
     sup,
 )
 
@@ -73,10 +74,26 @@ def require_same_home(a, b) -> None:
         raise HomeMismatch("functionals live on different quantum groups")
 
 
+def convolution_operators(group: hopf.FiniteQuantumGroup, coeffs) -> np.ndarray:
+    """ops[m], the matrix of psi -> phi_m * psi, for each row phi_m of coeffs."""
+    return np.tensordot(coeffs, group.comult, axes=([-1], [1]))
+
+
+def convolution_table(group: hopf.FiniteQuantumGroup, left, right) -> np.ndarray:
+    """table[a, b], the coefficients of left[a] * right[b], for two stacks of rows.
+
+    One tensordot and one matmul.
+    """
+    return (convolution_operators(group, left) @ right.T).transpose(0, 2, 1)
+
+
 def convolve(phi: Functional, chi: Functional) -> Functional:
-    """Convolution product: the pair acts through the coproduct."""
+    """Convolution product: the pair acts through the coproduct.
+
+    The one-pair case of convolution_table.
+    """
     require_same_home(phi, chi)
-    coeffs = np.einsum("ijk,j,k->i", phi.home.comult, phi.coeffs, chi.coeffs)
+    coeffs = convolution_table(phi.home, phi.coeffs[None], chi.coeffs[None])[0, 0]
     return Functional(home=phi.home, coeffs=coeffs)
 
 
@@ -89,34 +106,46 @@ def haar_functional(group: hopf.FiniteQuantumGroup) -> Functional:
     return Functional(home=group, coeffs=group.haar, name="haar")
 
 
+def state_defects_table(group: hopf.FiniteQuantumGroup, coeffs) -> dict[str, np.ndarray]:
+    """Residuals of the three idempotent-state conditions, one per row of coeffs."""
+    squares = (convolution_operators(group, coeffs) @ coeffs[..., None])[..., 0]
+    conv = np.abs(squares - coeffs).max(axis=-1, initial=0.0)
+    norm = np.abs(coeffs @ group.unit - 1.0)
+    lowest = np.linalg.eigvalsh(hermitize(hopf.sesquilinear_matrix(group, coeffs)))[:, 0]
+    return {"idempotency": conv, "normalization": norm,
+            "negativity": np.maximum(0.0, -lowest)}
+
+
+def idempotent_rows(group: hopf.FiniteQuantumGroup, coeffs,
+                    tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Which rows of coeffs are idempotent states: every defect below tol."""
+    return np.logical_and.reduce([d < tol for d in state_defects_table(group, coeffs).values()])
+
+
 def state_defects(phi: Functional) -> dict[str, float]:
-    """Residuals of the three idempotent-state conditions."""
-    conv = sup(convolve(phi, phi).coeffs - phi.coeffs)
-    norm = abs(phi(phi.home.unit) - 1.0)
-    neg = max(0.0, -min_eigval(hopf.sesquilinear_matrix(phi.home, phi.coeffs)))
-    return {"idempotency": conv, "normalization": norm, "negativity": neg}
+    """Residuals of the three idempotent-state conditions: one row of state_defects_table."""
+    return {key: float(d[0])
+            for key, d in state_defects_table(phi.home, phi.coeffs[None]).items()}
 
 
 def is_idempotent_state(phi: Functional, tol: float = DEFAULT_TOL) -> bool:
-    d = state_defects(phi)
-    return all(v < tol for v in d.values())
+    """One row of idempotent_rows."""
+    return bool(idempotent_rows(phi.home, phi.coeffs[None], tol)[0])
+
+
+def expectation_matrices(group: hopf.FiniteQuantumGroup, coeffs) -> np.ndarray:
+    """Matrix of x -> (id (x) phi)(coproduct(x)) on coefficient columns, per row phi."""
+    return np.einsum("ijk,mk->mij", group.comult, coeffs).swapaxes(-1, -2)
 
 
 def expectation_matrix(phi: Functional) -> np.ndarray:
-    """Matrix of x -> (id (x) phi)(coproduct(x)) on coefficient columns."""
-    return np.einsum("ijk,k->ij", phi.home.comult, phi.coeffs).T
+    """One row of expectation_matrices."""
+    return expectation_matrices(phi.home, phi.coeffs[None])[0]
 
 
 # ----------------------------------------------------------------------
 # support projection and reconstruction
 # ----------------------------------------------------------------------
-
-def density_element(phi: Functional) -> np.ndarray:
-    """The element rho with phi = (invariant state)(rho x); needs faithfulness."""
-    group = hopf.with_haar(phi.home)
-    bil = np.einsum("ijk,k->ij", group.mult, group.haar)
-    return np.linalg.solve(bil.T, phi.coeffs)
-
 
 def projection_defect(group: hopf.FiniteQuantumGroup, p) -> float:
     p = np.asarray(p, complex)
@@ -125,6 +154,14 @@ def projection_defect(group: hopf.FiniteQuantumGroup, p) -> float:
 
 def support_projection(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Complement of the left-kernel projection of a state.
+
+    The one-state case of support_projections.
+    """
+    return support_projections([phi], tol)[0]
+
+
+def support_projections(functionals, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Complement of the left-kernel projection of each state, on one quantum group.
 
     Computed as the spectral support of the density of the state with
     respect to the invariant trace.  A functional is a state exactly when
@@ -138,33 +175,43 @@ def support_projection(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
     complement vanishes against it in both legs (support-annihilation),
     and it is a minimal central projection of the coideal
     (support-minimal-central).
+
+    The value on 1, the density solve and its eigendecomposition run as
+    stacks; each test raises for the first state that fails it.  The
+    pull-back is one least-squares solve per state.
     """
-    group = hopf.with_haar(phi.home)
+    group = hopf.with_haar(functionals[0].home)
     space = hopf.gns(group)
-    norm = abs(phi(group.unit) - 1.0)
-    if norm >= tol:
-        raise NotAState(f"normalization defect {norm:.2e}")
-    rho = density_element(phi)
-    mat = space.represent(rho)
-    herm = frob(mat - dagger(mat))
-    if herm > hopf.GAP * tol:
-        raise NotAState(f"density is not self-adjoint (defect {herm:.2e})")
-    evals, vecs = np.linalg.eigh(hermitize(mat))
-    cut = tol * max(1.0, float(evals[-1]))
-    if evals[0] < -cut:
-        raise NotAState(f"density has a negative eigenvalue ({evals[0]:.2e})")
-    support = vecs[:, evals > cut]
-    proj_mat = support @ dagger(support)
+    coeffs = np.array([f.coeffs for f in functionals])
+    for norm in np.abs(coeffs @ group.unit - 1.0):
+        if norm >= tol:
+            raise NotAState(f"normalization defect {norm:.2e}")
+    # each state's density rho, with phi = h(rho x), is one solve (h is faithful)
+    bil = np.einsum("ijk,k->ij", group.mult, group.haar)
+    mats = space.represent(np.linalg.solve(bil.T, coeffs[..., None])[..., 0])
+    for herm in np.linalg.norm(mats - dagger(mats), axis=(-2, -1)):
+        if herm > hopf.GAP * tol:
+            raise NotAState(f"density is not self-adjoint (defect {herm:.2e})")
+    spectra, bases = np.linalg.eigh(hermitize(mats))
+    cuts = tol * np.maximum(1.0, spectra[:, -1])
+    for evals, cut in zip(spectra, cuts):
+        if evals[0] < -cut:
+            raise NotAState(f"density has a negative eigenvalue ({evals[0]:.2e})")
     rep = space.left_mult.transpose(1, 2, 0).reshape(group.dim ** 2, group.dim)
-    q, _, _, _ = np.linalg.lstsq(rep, proj_mat.reshape(-1), rcond=None)
-    fit = frob(space.represent(q) - proj_mat)
-    if fit > hopf.GAP * tol:
-        raise InternalInconsistency(
-            f"spectral projection does not pull back to the algebra (fit {fit:.2e})")
-    defect = projection_defect(group, q)
-    if defect > hopf.GAP * tol:
-        raise InternalInconsistency(f"support is not a projection ({defect:.2e})")
-    return q
+    projections = []
+    for evals, vecs, cut in zip(spectra, bases, cuts):
+        support = vecs[:, evals > cut]
+        proj_mat = support @ dagger(support)
+        q, _, _, _ = np.linalg.lstsq(rep, proj_mat.reshape(-1), rcond=None)
+        fit = frob(space.represent(q) - proj_mat)
+        if fit > hopf.GAP * tol:
+            raise InternalInconsistency(
+                f"spectral projection does not pull back to the algebra (fit {fit:.2e})")
+        defect = projection_defect(group, q)
+        if defect > hopf.GAP * tol:
+            raise InternalInconsistency(f"support is not a projection ({defect:.2e})")
+        projections.append(q)
+    return projections
 
 
 def left_kernel_basis(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -176,7 +223,12 @@ def left_kernel_basis(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def state_from_qperp(group: hopf.FiniteQuantumGroup, qperp,
                      tol: float = DEFAULT_TOL, name: str | None = None) -> Functional:
-    """The normalized compression of the invariant state by a projection."""
+    """The normalized compression of the invariant state by a projection.
+
+    The state x -> h(q x q) / h(q) has coefficients h(q e_b q) / h(q),
+    computed as two reshaped matvecs: y = (mult . h) q is the element
+    with h(x q) = <x, y>, and the coefficients are (q . mult) y / h(q).
+    """
     group = hopf.with_haar(group)
     q = np.asarray(qperp, complex)
     defect = projection_defect(group, q)
@@ -185,8 +237,10 @@ def state_from_qperp(group: hopf.FiniteQuantumGroup, qperp,
     mass = group.haar_of(q)
     if abs(mass) <= tol:
         raise ZeroMass("projection has vanishing invariant mass")
-    coeffs = np.einsum("a,abk,j,kjr,r->b", q, group.mult, q, group.mult,
-                       group.haar) / mass
+    n = group.dim
+    mult = group.mult.reshape(n * n, n)
+    y = (mult @ group.haar).reshape(n, n) @ q
+    coeffs = q @ (mult @ y).reshape(n, n) / mass
     return Functional(home=group, coeffs=coeffs, name=name)
 
 
@@ -269,20 +323,40 @@ def preceq(mu: IdempotentState, nu: IdempotentState,
            tol: float = DEFAULT_TOL) -> bool:
     """Domination order on idempotent states: mu precedes nu.
 
+    The one-pair case of order_table: all four equivalent criteria are
+    evaluated and must agree.
+    """
+    return bool(order_table([mu], [nu], tol)[0, 0])
+
+
+def order_table(mus, nus, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """table[i, j]: whether mus[i] precedes nus[j] in the domination order.
+
     Evaluates all four equivalent criteria (convolution absorption,
     composition of expectations, reversed range containment, ordering of
-    the orthogonal projections) and demands they agree.
+    the orthogonal projections) on every pair as stacked arrays, and
+    demands they agree: the first disagreeing pair in row-major order
+    raises CriteriaDisagree.  The range containment loops over nus only.
     """
-    emu, enu = mu.conditional_expectation, nu.conditional_expectation
-    pmu, pnu = mu.l2_projection, nu.l2_projection
-    r1 = sup(convolve(mu.functional, nu.functional).coeffs - nu.coeffs)
-    r2 = frob(emu @ enu - enu)
-    r3 = containment_defect(mu.coideal.gns_basis(), nu.coideal.gns_basis())
-    r4 = frob(pmu @ pnu - pnu)
-    answers = [r1 < tol, r2 < tol, r3 < tol, r4 < tol]
-    if len(set(answers)) != 1:
+    if not (mus and nus):
+        return np.zeros((len(mus), len(nus)), dtype=bool)
+    group = mus[0].home
+    nu_coeffs = np.array([nu.coeffs for nu in nus])
+    emu, enu = (np.array([s.conditional_expectation for s in side]) for side in (mus, nus))
+    pmu, pnu = (np.array([s.l2_projection for s in side]) for side in (mus, nus))
+    conv = convolution_table(group, np.array([mu.coeffs for mu in mus]), nu_coeffs)
+    r1 = np.abs(conv - nu_coeffs).max(axis=-1)
+    r2 = np.linalg.norm(emu[:, None] @ enu - enu, axis=(-2, -1))
+    # the range criterion reads the coideal bases, not the held projections
+    ranges = np.array([projector(mu.coideal.gns_basis()) for mu in mus])
+    r3 = np.column_stack([containment_defects(ranges, nu.coideal.gns_basis()) for nu in nus])
+    r4 = np.linalg.norm(pmu[:, None] @ pnu - pnu, axis=(-2, -1))
+    answers = np.array([r1 < tol, r2 < tol, r3 < tol, r4 < tol])
+    disagree = np.argwhere(answers.any(axis=0) & ~answers.all(axis=0))
+    if disagree.size:
+        i, j = disagree[0]
         raise CriteriaDisagree(
             "order criteria disagree: "
-            f"convolution {r1:.2e}, expectation {r2:.2e}, "
-            f"range {r3:.2e}, projection {r4:.2e}")
+            f"convolution {r1[i, j]:.2e}, expectation {r2[i, j]:.2e}, "
+            f"range {r3[i, j]:.2e}, projection {r4[i, j]:.2e}")
     return answers[0]

@@ -134,8 +134,8 @@ def star_mult_tensor(group: FiniteQuantumGroup) -> np.ndarray:
 
 
 def sesquilinear_matrix(group: FiniteQuantumGroup, phi) -> np.ndarray:
-    """The matrix [phi((e_i)* e_j)] of a functional phi."""
-    return np.einsum("ijk,k->ij", star_mult_tensor(group),
+    """The matrix [phi((e_i)* e_j)] of a functional phi, or of each of a stack."""
+    return np.einsum("ijk,...k->...ij", star_mult_tensor(group),
                      np.asarray(phi, complex))
 
 
@@ -339,7 +339,8 @@ class GnsSpace:
         return self.orthonormal_basis @ np.asarray(a, complex)
 
     def represent(self, x) -> np.ndarray:
-        return np.einsum("i,iab->ab", np.asarray(x, complex), self.left_mult)
+        """The operator on L2 of an element, or of each of a stack."""
+        return np.einsum("...i,iab->...ab", np.asarray(x, complex), self.left_mult)
 
     def on_l2(self, matrix) -> np.ndarray:
         """The operator on L2 of a linear map on algebra coordinates."""

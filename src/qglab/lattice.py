@@ -15,7 +15,13 @@ meet and the join of every pair once, as GNS bases: a result whose coideal
 a listed state already has is that state, and only a new coideal is built
 and verified as a state and appended.  The closure's tables, permuted into
 canonical order, are the lattice that enumeration returns, so nothing
-downstream recomputes an operation.
+downstream recomputes an operation.  Work over many pairs or states runs
+as stacked array passes, each single-item function being the one-item
+case of its stacked form: a lattice's order is one harmonic.order_table,
+a closure round's joins one batched SVD, the states of a list are
+verified together by coideal.as_idempotent_states, and the property
+suite's joins (joins_with_diagnostics) and commutations
+(commutation_table) are one batch each.  Meets stay per pair.
 
 Everything here is a pure function of immutable inputs: the generated
 seeds come from one fixed stream, and results merge by sorted
@@ -29,7 +35,7 @@ import numpy as np
 
 from . import catalog, duality, hopf
 from .coideal import (
-    as_idempotent_state,
+    as_idempotent_states,
     coideal_from_span,
     generated_gns_basis,
     state_from_coideal,
@@ -39,14 +45,15 @@ from .harmonic import (
     DEFAULT_TOL,
     Functional,
     IdempotentState,
-    convolve,
+    convolution_operators,
+    convolution_table,
     expectation_matrix,
-    is_idempotent_state,
-    preceq,
+    idempotent_rows,
+    order_table,
     require_same_home,
     sup,
 )
-from .linalg import _rank, dagger, frob, subspace_intersection
+from .linalg import _rank, dagger, frob, subspace_intersection, subspace_intersections
 
 STRATEGIES = ("auto", "catalog", "generated")
 _SEED_STREAM = 0   # the generated seeds' fixed stream; no option reaches it
@@ -99,6 +106,14 @@ def join(a, b, tol: float = DEFAULT_TOL):
 def join_with_diagnostics(a, b, tol: float = DEFAULT_TOL):
     """The join by its definition: the limit of convolution powers.
 
+    The one-pair case of joins_with_diagnostics.
+    """
+    return joins_with_diagnostics([a], [b], tol)[0]
+
+
+def joins_with_diagnostics(lefts, rights, tol: float = DEFAULT_TOL):
+    """The join of each pair (lefts[p], rights[p]) by its definition, as stacks.
+
     In finite dimension the powers of the product of two projections
     converge geometrically to the projection onto the intersection of their
     ranges, and slicing the regular unitary is injective, so the powers of
@@ -110,30 +125,42 @@ def join_with_diagnostics(a, b, tol: float = DEFAULT_TOL):
     verified where it is built.  The diagnostics compare the limit's slice
     with the alternating-projection limit, and the limit with that limit
     recovered through W; they hold that limit, which join-two-paths
-    compares with the L2 projection of the table's join.
+    compares with the L2 projection of the table's join.  All pairs share
+    one convolution, one batched limit on each side, one batched eigvals
+    and one least-squares solve; returns a (limit, diagnostics) pair for
+    each.
     """
-    require_same_home(a.functional, b.functional)
-    group = a.home
+    for a, b in zip(lefts, rights):
+        require_same_home(a.functional, b.functional)
+    group = lefts[0].home
+    n = group.dim
     reg = duality.regular_unitary(group, tol)   # the call form `dual` caches
 
-    omega = convolve(a.functional, b.functional).coeffs
-    ops = np.tensordot(omega, group.comult, axes=([0], [1]))
-    limit = Functional(home=group, coeffs=_ergodic_limit(ops, omega[:, None], tol)[:, 0])
-    if abs(limit(group.unit) - 1.0) > 0.5:
+    left = np.array([a.coeffs for a in lefts])
+    omegas = (convolution_operators(group, left)
+              @ np.array([b.coeffs for b in rights])[..., None])[..., 0]
+    ops = convolution_operators(group, omegas)
+    limits = _ergodic_limit(ops, omegas[..., None], tol)[..., 0]
+    if (np.abs(limits @ group.unit - 1.0) > 0.5).any():
         raise InternalInconsistency(
             "join collapsed toward the formal zero on a finite quantum group")
-    l2_limit = _ergodic_limit(a.l2_projection @ b.l2_projection,
-                              np.eye(group.dim), tol)
+    l2_limits = _ergodic_limit(np.array([a.l2_projection for a in lefts])
+                               @ np.array([b.l2_projection for b in rights]),
+                               np.eye(n), tol)
 
-    lam = np.linalg.eigvals(ops)
-    rho = max(np.abs(lam[np.abs(lam - 1.0) > tol]), default=0.0)
-    recovered, _, _, _ = np.linalg.lstsq(
-        reg.second_legs.reshape(group.dim, -1).T, l2_limit.reshape(-1), rcond=None)
-    diag = JoinDiagnostics(
-        iterations=1 if rho == 0 else int(np.log(tol) / np.log(rho)) + 1,
-        slice_residual=frob(duality.slice_second_leg(reg, limit) - l2_limit),
-        two_path_distance=sup(limit.coeffs - recovered), l2_limit=l2_limit)
-    return limit, diag
+    legs = reg.second_legs.reshape(n, n * n)
+    recovered, _, _, _ = np.linalg.lstsq(legs.T, l2_limits.reshape(-1, n * n).T, rcond=None)
+    slice_residuals = np.linalg.norm((limits @ legs).reshape(-1, n, n) - l2_limits,
+                                     axis=(-2, -1))
+    two_path = np.abs(limits - recovered.T).max(axis=-1)
+    out = []
+    for lam, limit, l2_limit, res, dist in zip(np.linalg.eigvals(ops), limits, l2_limits,
+                                                slice_residuals, two_path):
+        rho = max(np.abs(lam[np.abs(lam - 1.0) > tol]), default=0.0)
+        out.append((Functional(home=group, coeffs=limit), JoinDiagnostics(
+            iterations=1 if rho == 0 else int(np.log(tol) / np.log(rho)) + 1,
+            slice_residual=float(res), two_path_distance=float(dist), l2_limit=l2_limit)))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -160,32 +187,40 @@ def _close(states, tol):
 
     Pairs are taken in rounds: each round computes the pairs that involve a
     state appended in the previous round.  A meet is the subalgebra the two
-    coideals generate and a join their intersection, each a GNS basis.  A
+    coideals generate and a join their intersection, each a GNS basis; a
+    round's joins come from one batched SVD (subspace_intersections), its
+    meets are generated pair by pair.  A
     result within the gap bound of state_from_coideal (hopf.GAP * tol between
-    L2 projections) of a listed state's coideal is that state; only a new
-    coideal is certified, built into a state and appended.  Returns the
-    grown list (input states first) and the meet and join tables indexing it.
+    L2 projections) of a listed state's coideal is that state, found in one
+    norm over the stacked projections; only a new coideal is certified,
+    built into a state and appended.  Returns the grown list (input states
+    first) and the meet and join tables indexing it.
     """
     states = list(states)
+    held = np.array([s.l2_projection for s in states])
+    dims = np.array([s.coideal.dim for s in states])
     meets, joins = {}, {}
 
     def index_of(basis):
-        proj = basis @ dagger(basis)
-        for idx, s in enumerate(states):
-            if (s.coideal.dim == basis.shape[1]
-                    and frob(s.l2_projection - proj) <= hopf.GAP * tol):
-                return idx
+        nonlocal held, dims
+        near = np.linalg.norm(held - basis @ dagger(basis), axis=(-2, -1)) <= hopf.GAP * tol
+        hits = np.flatnonzero((dims == basis.shape[1]) & near)
+        if hits.size:
+            return int(hits[0])
         states.append(_state_of_span(states[0].home, basis, tol))
+        held = np.concatenate([held, states[-1].l2_projection[None]])
+        dims = np.append(dims, states[-1].coideal.dim)
         return len(states) - 1
 
     done = 0
     while done < len(states):
         size = len(states)
-        for i in range(size):
-            for j in range(max(i, done), size):
-                a, b = states[i].coideal, states[j].coideal
-                meets[i, j] = index_of(generated_gns_basis(a, b))
-                joins[i, j] = index_of(subspace_intersection(a.gns_basis(), b.gns_basis()))
+        pairs = [(i, j) for i in range(size) for j in range(max(i, done), size)]
+        intersections = subspace_intersections(
+            *(held[[pair[side] for pair in pairs]] for side in (0, 1)))
+        for (i, j), intersection in zip(pairs, intersections):
+            meets[i, j] = index_of(generated_gns_basis(states[i].coideal, states[j].coideal))
+            joins[i, j] = index_of(intersection)
         done = size
         if len(states) > states[0].home.dim ** 2 + 4:
             raise InternalInconsistency("closure under meet/join is not stabilizing")
@@ -209,8 +244,7 @@ def _lattice_from_tables(states, meet_table, join_table,
     are not checked separately.  Violations are internal errors.
     """
     k = len(states)
-    order = np.array([[preceq(a, b, tol) for b in states] for a in states],
-                     dtype=bool).reshape(k, k)
+    order = np.asarray(order_table(states, states, tol), dtype=bool).reshape(k, k)
     strict = order & ~np.eye(k, dtype=bool)
     if not order.diagonal().all():
         raise InternalInconsistency("order is not reflexive")
@@ -354,10 +388,9 @@ def _generated_limits(group, tol):
     z = [1.0, 1j] @ np.random.default_rng(_SEED_STREAM).standard_normal((2, group.dim))
     _, vecs = np.linalg.eigh(space.represent(z + group.adjoint(z)))
     seeds = np.einsum("ai,kai->ik", vecs.conj(), space.left_mult @ vecs)
-    limits = _ergodic_limit(np.tensordot(seeds, group.comult, axes=([1], [1])),
-                            seeds[..., None], tol)[..., 0]
-    functionals = [Functional(home=group, coeffs=c) for c in limits]
-    return _dedup([f for f in functionals if is_idempotent_state(f, tol)], tol)
+    limits = _ergodic_limit(convolution_operators(group, seeds), seeds[..., None], tol)[..., 0]
+    return _dedup([Functional(home=group, coeffs=c)
+                   for c in limits[idempotent_rows(group, limits, tol)]], tol)
 
 
 def _generated_states(group, tol):
@@ -372,9 +405,8 @@ def _generated_states(group, tol):
     dual_group = duality.dual(group, tol).dual_group
     theirs = _generated_limits(dual_group, tol)
     back = duality.dual(dual_group, tol)
-    pulled = [Functional(home=group, coeffs=duality.dual_state(
-                  as_idempotent_state(f, tol), back, tol).coeffs)
-              for f in theirs]
+    pulled = [Functional(home=group, coeffs=s.coeffs)
+              for s in duality.dual_states(as_idempotent_states(theirs, tol), back, tol)]
 
     both = _dedup(ours + pulled, tol)   # each side's limits are distinct
     counts = {"seeds": {"group": group.dim, "dual": dual_group.dim},
@@ -413,8 +445,7 @@ def enumerate_idempotents(group, strategy: str = "auto",
     else:
         functionals, counts = _generated_states(group, tol)
 
-    states = [as_idempotent_state(f, tol, name=f.name) for f in functionals]
-    states, meet_table, join_table = _close(states, tol)
+    states, meet_table, join_table = _close(as_idempotent_states(functionals, tol), tol)
     if counts is not None:
         counts["closure_added"] = len(states) - len(functionals)
     perm = _canonical_order(states)
@@ -463,8 +494,8 @@ def _assign_names(group, recognized, states):
 
 @dataclasses.dataclass
 class CommutationReport:
-    commute: bool
-    residuals: dict[str, float]
+    commute: bool | np.ndarray              # a table's is indexed like its pairs
+    residuals: dict[str, float | np.ndarray]
 
 
 def commutation_equivalences(rho: IdempotentState, mu: IdempotentState,
@@ -472,20 +503,46 @@ def commutation_equivalences(rho: IdempotentState, mu: IdempotentState,
                              joined: IdempotentState | None = None) -> CommutationReport:
     """Three equivalent ways to say the two states commute; they must agree.
 
-    `joined` is the join of rho and mu when the caller already holds it
-    (a lattice's join table); otherwise it is computed.
+    The one-pair case of commutation_table.  `joined` is the join of rho
+    and mu when the caller already holds it (a lattice's join table);
+    otherwise it is computed.
     """
-    fr, fm = rho.functional, mu.functional
-    rm = convolve(fr, fm)
     if joined is None:
         joined = join(rho, mu, tol=tol)
-    r1 = sup(joined.coeffs - rm.coeffs)
-    r2 = sup(convolve(convolve(fm, fr), fm).coeffs - rm.coeffs)
-    r3 = sup(convolve(fm, fr).coeffs - rm.coeffs)
-    answers = [r1 < tol, r2 < tol, r3 < tol]
-    if len(set(answers)) != 1:
+    table = commutation_table([rho], [mu], joined.coeffs[None, None], tol)
+    return CommutationReport(commute=bool(table.commute[0, 0]),
+                             residuals={key: float(r[0, 0])
+                                        for key, r in table.residuals.items()})
+
+
+def commutation_table(rhos, mus, joined, tol: float = DEFAULT_TOL,
+                      products=None) -> CommutationReport:
+    """Whether rhos[i] and mus[j] commute, for every pair, as stacked arrays.
+
+    joined[i, j] holds the coefficients of the pair's join.  The three
+    equivalent criteria: the join is rho * mu (join), mu * rho * mu =
+    rho * mu (sandwich) and mu * rho = rho * mu (swap).  products is the
+    pair of convolution tables (rhos by mus, mus by rhos) when the caller
+    holds them.  The first pair in row-major order whose criteria disagree
+    raises CriteriaDisagree.  Returns the table of answers and one table
+    of residuals per criterion.
+    """
+    group = rhos[0].home
+    mu_coeffs = np.array([mu.coeffs for mu in mus])
+    if products is None:
+        rho_coeffs = np.array([rho.coeffs for rho in rhos])
+        products = (convolution_table(group, rho_coeffs, mu_coeffs),
+                    convolution_table(group, mu_coeffs, rho_coeffs))
+    rm, mr = products[0], products[1].swapaxes(0, 1)   # both indexed [i, j]
+    sandwich = (convolution_operators(group, mr) @ mu_coeffs[:, :, None])[..., 0]
+    residuals = {"join": np.abs(joined - rm).max(axis=-1),
+                 "sandwich": np.abs(sandwich - rm).max(axis=-1),
+                 "swap": np.abs(mr - rm).max(axis=-1)}
+    answers = np.array([r < tol for r in residuals.values()])
+    disagree = np.argwhere(answers.any(axis=0) & ~answers.all(axis=0))
+    if disagree.size:
+        r1, r2, r3 = (r[tuple(disagree[0])] for r in residuals.values())
         raise CriteriaDisagree(
             f"commutation criteria disagree: join {r1:.2e}, "
             f"sandwich {r2:.2e}, swap {r3:.2e}")
-    return CommutationReport(commute=answers[0],
-                             residuals={"join": r1, "sandwich": r2, "swap": r3})
+    return CommutationReport(commute=answers[0], residuals=residuals)

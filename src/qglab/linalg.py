@@ -23,7 +23,8 @@ def sup(a) -> float:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -59,21 +60,36 @@ def projector(basis: np.ndarray) -> np.ndarray:
     return basis @ dagger(basis)
 
 
-def containment_defect(big: np.ndarray, vectors: np.ndarray) -> float:
-    """max over columns v of ||(1 - P_big) v|| / ||v||."""
+def containment_defects(projs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """max over columns v of ||(1 - P) v|| / ||v||, for each P of a stack of projectors."""
     if vectors.shape[1] == 0:
-        return 0.0
-    resid = vectors - projector(big) @ vectors
+        return np.zeros(projs.shape[:-2])
+    resid = vectors - projs @ vectors
     norms = np.linalg.norm(vectors, axis=0)
     norms = np.where(norms > 0.0, norms, 1.0)
-    return float(np.max(np.linalg.norm(resid, axis=0) / norms))
+    return np.max(np.linalg.norm(resid, axis=-2) / norms, axis=-1)
+
+
+def containment_defect(big: np.ndarray, vectors: np.ndarray) -> float:
+    """max over columns v of ||(1 - P_big) v|| / ||v||: one projector of containment_defects."""
+    return float(containment_defects(projector(big), vectors))
 
 
 def subspace_intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(b1) & span(b2)."""
-    n = b1.shape[0]
-    eye = np.eye(n, dtype=complex)
-    return nullspace(np.vstack([eye - projector(b1), eye - projector(b2)]))
+    """Orthonormal basis of span(b1) & span(b2): one pair of subspace_intersections."""
+    return subspace_intersections(projector(b1)[None], projector(b2)[None])[0]
+
+
+def subspace_intersections(p1: np.ndarray, p2: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal bases of range(p1[m]) & range(p2[m]), for stacks of orthogonal projectors.
+
+    Each is the kernel of the stacked [1 - p1[m]; 1 - p2[m]], all from one
+    batched SVD.
+    """
+    eye = np.eye(p1.shape[-1])
+    _, s, vh = np.linalg.svd(np.concatenate([eye - p1, eye - p2], axis=-2),
+                             full_matrices=False)
+    return [dagger(v)[:, _rank(values, RANK_TOL):] for values, v in zip(s, vh)]
 
 
 def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:

@@ -368,7 +368,7 @@ def test_check_exit_code_follows_the_failure_kind(z2_file, capsys, monkeypatch,
     def boom(*args, **kwargs):
         raise error("forced inside one check")
 
-    monkeypatch.setattr(lattice, "commutation_equivalences", boom)
+    monkeypatch.setattr(lattice, "commutation_table", boom)
     got, out, err = run(capsys, "check", z2_file)
     assert got == code
     assert "commutation-equivalences" in err

@@ -239,9 +239,9 @@ def test_expectation_range_failing_certification_is_internal(c_s3, tmp_path,
                                                              monkeypatch, capsys):
     # a state whose expectation range is no coideal contradicts a theorem:
     # an internal error (exit 3), never a rejected input
-    def rejecting(group, vectors, tol=harmonic.DEFAULT_TOL):
+    def rejecting(group, spans, tol=harmonic.DEFAULT_TOL):
         raise NotACoideal("input span is not a coideal (defect 1.00e+00)")
-    monkeypatch.setattr(coideal, "coideal_from_span", rejecting)
+    monkeypatch.setattr(coideal, "coideals_from_spans", rejecting)
     with pytest.raises(InternalInconsistency,
                        match="expectation range failed certification"):
         coideal.as_idempotent_state(harmonic.haar_functional(c_s3))
@@ -366,3 +366,48 @@ def test_expectation_rejects_a_map_that_is_not_completely_positive(c_s3):
         state, conditional_expectation=-state.conditional_expectation)
     with pytest.raises(InternalInconsistency, match="not completely positive"):
         coideal.expectation(negated)
+
+
+# ----------------------------------------------------------------------
+# the stacked verifiers against their one-item cases
+# ----------------------------------------------------------------------
+
+def assert_same_state(got, expected):
+    assert got.name == expected.name
+    assert got.coideal.dim == expected.coideal.dim
+    for field in ("coeffs", "q_perp", "conditional_expectation", "l2_projection"):
+        assert np.abs(getattr(got, field) - getattr(expected, field)).max() < 1e-14, field
+    assert np.abs(got.coideal.basis - expected.coideal.basis).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["kp", "c_d6"])
+def test_as_idempotent_states_matches_the_one_state_calls(name):
+    states = lattice.enumerate_idempotents(named_group(name)).states
+    functionals = [s.functional for s in states]
+    batch = coideal.as_idempotent_states(functionals)
+    for f, got in zip(functionals, batch):
+        assert got.functional is f
+        assert_same_state(got, coideal.as_idempotent_state(f))
+    # a verified state passes through unchanged, beside functionals
+    mixed = coideal.as_idempotent_states([states[0], functionals[1]])
+    assert mixed[0] is states[0]
+    assert_same_state(mixed[1], batch[1])
+
+
+@pytest.mark.parametrize("name", ["kp", "c_d6"])
+def test_states_from_coideals_matches_the_one_coideal_calls(name):
+    states = lattice.enumerate_idempotents(named_group(name)).states
+    batch = coideal.states_from_coideals([s.coideal for s in states])
+    for s, got in zip(states, batch):
+        assert_same_state(got, coideal.state_from_coideal(s.coideal))
+        assert np.abs(got.coeffs - s.coeffs).max() < 1e-9
+
+
+def test_as_idempotent_states_raises_for_the_first_failing_functional(c_z2):
+    good = harmonic.haar_functional(c_z2)
+    bad = harmonic.Functional(home=c_z2, coeffs=[0.25, 0.75])
+    with pytest.raises(NotIdempotent) as info:
+        coideal.as_idempotent_states([good, bad])
+    with pytest.raises(NotIdempotent) as one:
+        coideal.as_idempotent_state(bad)
+    assert str(info.value) == str(one.value)

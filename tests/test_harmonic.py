@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qglab import catalog, coideal, harmonic, hopf, lattice
-from qglab.errors import HomeMismatch, NotAProjection, NotAState, ZeroMass
+from qglab import catalog, coideal, duality, harmonic, hopf, lattice
+from qglab.errors import CriteriaDisagree, HomeMismatch, NotAProjection, NotAState, ZeroMass
 from qglab.linalg import containment_defect, frob
 from conftest import named_group, s3_subgroup
 
@@ -271,3 +273,72 @@ def test_order_criteria_never_disagree_on_catalog(name):
     for a in states:
         for b in states:
             harmonic.preceq(a, b)  # raises CriteriaDisagree on any mismatch
+
+
+# ----------------------------------------------------------------------
+# the order table against a loop of the four criteria
+# ----------------------------------------------------------------------
+
+def loop_criteria(mu, nu):
+    """The four order residuals of one pair, as a per-pair loop takes them."""
+    emu, enu = mu.conditional_expectation, nu.conditional_expectation
+    pmu, pnu = mu.l2_projection, nu.l2_projection
+    conv = np.einsum("ijk,j,k->i", mu.home.comult, mu.coeffs, nu.coeffs)
+    return (float(np.max(np.abs(conv - nu.coeffs))), frob(emu @ enu - enu),
+            containment_defect(mu.coideal.gns_basis(), nu.coideal.gns_basis()),
+            frob(pmu @ pnu - pnu))
+
+
+def loop_message(mu, nu):
+    r1, r2, r3, r4 = loop_criteria(mu, nu)
+    return ("order criteria disagree: "
+            f"convolution {r1:.2e}, expectation {r2:.2e}, "
+            f"range {r3:.2e}, projection {r4:.2e}")
+
+
+@pytest.mark.parametrize("name", ["kp", "c_d6"])
+def test_order_table_matches_the_loop_of_criteria(name):
+    states = lattice.enumerate_idempotents(named_group(name)).states
+    tol = harmonic.DEFAULT_TOL
+    answers = [[[r < tol for r in loop_criteria(a, b)] for b in states] for a in states]
+    assert all(len(set(pair)) == 1 for row in answers for pair in row)
+    table = harmonic.order_table(states, states)
+    assert table.tolist() == [[pair[0] for pair in row] for row in answers]
+    # a rectangular block is the block of the square table, and preceq its entry
+    assert np.array_equal(harmonic.order_table(states[:3], states[2:]), table[:3, 2:])
+    assert [harmonic.preceq(a, states[1]) for a in states] == table[:, 1].tolist()
+
+
+def test_order_table_names_the_first_disagreeing_pair():
+    # the greatest state (the Haar state) given the identity as its L2
+    # projection: the projection criterion then puts it below every state,
+    # and the other three criteria below none but itself
+    states = lattice.enumerate_idempotents(named_group("kp")).states
+    top = states[-1]
+    assert top.coideal.dim == 1
+    forced = dataclasses.replace(top, l2_projection=np.eye(top.home.dim))
+    mus, nus = [states[0], forced, states[1]], states[1:]
+    with pytest.raises(CriteriaDisagree) as info:
+        harmonic.order_table(mus, nus)
+    assert str(info.value) == loop_message(forced, nus[0])
+    with pytest.raises(CriteriaDisagree) as info:
+        harmonic.preceq(forced, states[2])
+    assert str(info.value) == loop_message(forced, states[2])
+
+
+# ----------------------------------------------------------------------
+# the compression kernel
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kp", "c_d6", "cg_d6"])
+def test_state_from_qperp_matches_the_einsum(name):
+    # on the group, from each support projection, and on the dual, from
+    # each state's coefficients, as dual_state compresses
+    g = hopf.with_haar(named_group(name))
+    states = lattice.enumerate_idempotents(g).states
+    dual_group = duality.dual(g).dual_group
+    for group, q in [(g, s.q_perp) for s in states] + [(dual_group, s.coeffs) for s in states]:
+        expected = np.einsum("a,abk,j,kjr,r->b", q, group.mult, q, group.mult,
+                             group.haar) / group.haar_of(q)
+        got = harmonic.state_from_qperp(group, q).coeffs
+        assert np.abs(got - expected).max() < 1e-14

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qglab import catalog, checks, coideal, harmonic, hopf, lattice
-from qglab.errors import InternalInconsistency
+from qglab.errors import CriteriaDisagree, InternalInconsistency
 from qglab.linalg import frob
 from conftest import assert_same_lattice, dihedral_table, named_group, s3_subgroup
 from test_basis_invariance import ill_conditioned_s3
@@ -418,11 +418,16 @@ def test_lattice_verifier_rejects_a_swapped_entry(table, message):
         verify_tables(lat.states, tables["meet"], tables["join"])
 
 
+def patch_order_table(monkeypatch, keep):
+    """The verifier's order table with the pairs (a, b) that keep refuses dropped."""
+    real = lattice.order_table
+    monkeypatch.setattr(lattice, "order_table", lambda mus, nus, tol: real(mus, nus, tol)
+                        & np.array([[keep(a, b) for b in nus] for a in mus]))
+
+
 def test_lattice_verifier_rejects_a_non_reflexive_order(monkeypatch):
     lat = s3_lattice()
-    real = lattice.preceq
-    monkeypatch.setattr(lattice, "preceq",
-                        lambda a, b, tol: a is not b and real(a, b, tol))
+    patch_order_table(monkeypatch, lambda a, b: a is not b)
     with pytest.raises(InternalInconsistency, match="^order is not reflexive$"):
         verify_tables(lat.states, lat.meet_table, lat.join_table)
 
@@ -430,9 +435,7 @@ def test_lattice_verifier_rejects_a_non_reflexive_order(monkeypatch):
 def test_lattice_verifier_rejects_a_non_transitive_order(monkeypatch):
     lat = s3_lattice()
     least, greatest = lat.states[0], lat.states[-1]
-    real = lattice.preceq
-    monkeypatch.setattr(lattice, "preceq", lambda a, b, tol: (
-        not (a is least and b is greatest) and real(a, b, tol)))
+    patch_order_table(monkeypatch, lambda a, b: not (a is least and b is greatest))
     with pytest.raises(InternalInconsistency, match="^order is not transitive$"):
         verify_tables(lat.states, lat.meet_table, lat.join_table)
 
@@ -473,7 +476,7 @@ def test_lattice_verifier_matches_the_loops(monkeypatch):
     # random families of subsets ordered by inclusion, with the tables of
     # intersection and union where the family holds them, then one entry of
     # the order or of a table overwritten at random; the verifier reads the
-    # order through preceq, patched to look it up
+    # order through order_table, patched to look it up
     rng = np.random.default_rng(11)
     verdicts = set()
     for _ in range(400):
@@ -488,7 +491,8 @@ def test_lattice_verifier_matches_the_loops(monkeypatch):
         if target is not None:
             i, j = rng.integers(k, size=2)
             target[i, j] = not target[i, j] if target is order else rng.integers(k)
-        monkeypatch.setattr(lattice, "preceq", lambda a, b, tol: bool(order[a, b]))
+        monkeypatch.setattr(lattice, "order_table",
+                            lambda mus, nus, tol: order[np.ix_(mus, nus)])
         try:
             got = verify_tables(list(range(k)), meet, join).hasse_edges
         except InternalInconsistency as exc:
@@ -497,6 +501,12 @@ def test_lattice_verifier_matches_the_loops(monkeypatch):
         assert got == expected
         verdicts.add(expected if isinstance(expected, str) else "lattice")
     assert len(verdicts) == 6   # every raise, and lattices that pass
+
+
+def test_empty_list_is_the_empty_lattice():
+    lat = lattice.build_lattice([])
+    assert lat.order.shape == lat.meet_table.shape == lat.join_table.shape == (0, 0)
+    assert lat.hasse_edges == []
 
 
 def test_lattice_verifier_accepts_the_catalog_tables():
@@ -541,6 +551,65 @@ def test_commutation_never_disagrees_on_catalog(c_s3):
     for a in states:
         for b in states:
             lattice.commutation_equivalences(a, b)  # must not raise
+
+
+def loop_commutation(rho, mu, joined):
+    """The three commutation residuals of one pair, as a per-pair loop takes them."""
+    conv = lambda a, b: np.einsum("ijk,j,k->i", rho.home.comult, a, b)
+    rm, mr = conv(rho.coeffs, mu.coeffs), conv(mu.coeffs, rho.coeffs)
+    return [float(np.max(np.abs(x - rm)))
+            for x in (joined, conv(mr, mu.coeffs), mr)]
+
+
+@pytest.mark.parametrize("name", ["kp", "c_d6"])
+def test_commutation_table_matches_the_loop(name):
+    lat = lattice.enumerate_idempotents(named_group(name)).lattice
+    states = lat.states
+    coeffs = np.array([s.coeffs for s in states])
+    table = lattice.commutation_table(states, states, coeffs[lat.join_table])
+    for i, rho in enumerate(states):
+        for j, mu in enumerate(states):
+            expected = loop_commutation(rho, mu, coeffs[lat.join_table[i, j]])
+            got = [table.residuals[key][i, j] for key in ("join", "sandwich", "swap")]
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
+            assert table.commute[i, j] == (expected[0] < harmonic.DEFAULT_TOL)
+            one = lattice.commutation_equivalences(rho, mu, joined=states[lat.join_table[i, j]])
+            assert one.commute == table.commute[i, j]
+
+
+def test_commutation_table_names_the_first_disagreeing_pair():
+    # the join of the counit with itself replaced by the Haar state: only the
+    # join criterion sees it, at the pair (0, 0), the first in row-major order
+    lat = lattice.enumerate_idempotents(named_group("kp")).lattice
+    states = lat.states
+    coeffs = np.array([s.coeffs for s in states])
+    joined = coeffs[lat.join_table]
+    joined[0, 0] = states[-1].coeffs
+    residuals = loop_commutation(states[0], states[0], joined[0, 0])
+    message = ("commutation criteria disagree: join {:.2e}, sandwich {:.2e}, "
+               "swap {:.2e}").format(*residuals)
+    with pytest.raises(CriteriaDisagree) as info:
+        lattice.commutation_table(states, states, joined)
+    assert str(info.value) == message
+    with pytest.raises(CriteriaDisagree) as info:
+        lattice.commutation_equivalences(states[0], states[0], joined=states[-1])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["kp", "c_d4"])
+def test_joins_with_diagnostics_match_the_per_pair_calls(name):
+    states = lattice.enumerate_idempotents(named_group(name)).states
+    rows, cols = np.triu_indices(len(states))
+    batch = lattice.joins_with_diagnostics([states[i] for i in rows],
+                                           [states[j] for j in cols])
+    assert len(batch) == len(rows)
+    for i, j, (limit, diag) in zip(rows, cols, batch):
+        one, one_diag = lattice.join_with_diagnostics(states[i], states[j])
+        assert np.abs(limit.coeffs - one.coeffs).max() < 1e-13
+        assert np.abs(diag.l2_limit - one_diag.l2_limit).max() < 1e-13
+        assert diag.iterations == one_diag.iterations
+        assert abs(diag.slice_residual - one_diag.slice_residual) < 1e-13
+        assert abs(diag.two_path_distance - one_diag.two_path_distance) < 1e-13
 
 
 def s3_lattice_indices():
