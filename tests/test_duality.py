@@ -371,8 +371,8 @@ def test_gram_codual_cut_sits_in_a_wide_gap(name):
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kp"])
 def test_gram_of_the_scalars_vanishes(name):
     # the Haar state's coideal is the scalars, whose co-dual is the whole
-    # dual algebra: G = 0, and a cut relative to G's own largest eigenvalue
-    # would keep nothing
+    # dual algebra: G = 0 up to round-off, which a cut relative to G's own
+    # largest eigenvalue would split
     g = named_group(name)
     pair = duality.dual(g)
     haar = next(s for s in lattice.enumerate_idempotents(g).states if s.coideal.dim == 1)
