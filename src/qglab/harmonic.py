@@ -340,6 +340,8 @@ def order_table(mus, nus, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if not (mus and nus):
         return np.zeros((len(mus), len(nus)), dtype=bool)
+    for other in (*mus[1:], *nus):
+        require_same_home(mus[0], other)
     group = mus[0].home
     nu_coeffs = np.array([nu.coeffs for nu in nus])
     emu, enu = (np.array([s.conditional_expectation for s in side]) for side in (mus, nus))

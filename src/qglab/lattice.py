@@ -527,6 +527,8 @@ def commutation_table(rhos, mus, joined, tol: float = DEFAULT_TOL,
     raises CriteriaDisagree.  Returns the table of answers and one table
     of residuals per criterion.
     """
+    for other in (*rhos[1:], *mus):
+        require_same_home(rhos[0], other)
     group = rhos[0].home
     mu_coeffs = np.array([mu.coeffs for mu in mus])
     if products is None:

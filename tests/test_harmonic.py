@@ -326,6 +326,17 @@ def test_order_table_names_the_first_disagreeing_pair():
     assert str(info.value) == loop_message(forced, states[2])
 
 
+def test_order_and_commutation_need_one_home(c_z2, c_z3):
+    a = coideal.as_idempotent_state(harmonic.haar_functional(c_z2))
+    b = coideal.as_idempotent_state(harmonic.haar_functional(c_z3))
+    with pytest.raises(HomeMismatch):
+        harmonic.preceq(a, b)
+    with pytest.raises(HomeMismatch):
+        harmonic.order_table([a, a], [a, b])
+    with pytest.raises(HomeMismatch):
+        lattice.commutation_equivalences(a, b, joined=a)
+
+
 # ----------------------------------------------------------------------
 # the compression kernel
 # ----------------------------------------------------------------------
