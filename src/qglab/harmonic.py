@@ -226,8 +226,8 @@ def state_from_qperp(group: hopf.FiniteQuantumGroup, qperp,
     """The normalized compression of the invariant state by a projection.
 
     The state x -> h(q x q) / h(q) has coefficients h(q e_b q) / h(q),
-    computed as two reshaped matvecs: y = (mult . h) q is the element
-    with h(x q) = <x, y>, and the coefficients are (q . mult) y / h(q).
+    computed as two reshaped matvecs: y[k] = h(e_k q) is (mult . h) q,
+    and h(q e_b q) = sum_a,k q_a mult[a, b, k] y[k] is (q . mult) y.
     """
     group = hopf.with_haar(group)
     q = np.asarray(qperp, complex)
