@@ -7,6 +7,12 @@ need them; a stage fills the context and reports nothing.  Each check is
 keyed by what it verifies; a failed check with internal=True signals a
 broken postcondition (bug or tolerance breach) rather than a plain
 property failure.
+
+Checks over states or pairs stack their arrays, summed so that each
+residual keeps the bits of its one-item form (linalg.frobs).  An item
+whose intermediate is n^4 (the regular unitary against a projection in
+dual-projection-identity) stays in a loop over items, so that memory grows
+with one item and not with the list.
 """
 from __future__ import annotations
 
@@ -21,10 +27,13 @@ from .errors import CriteriaDisagree, QuantumGroupError
 from .linalg import (
     RANK_TOL,
     _rank,
+    by_key,
+    containment_defects,
     dagger,
     frob,
-    nullspace,
+    frobs,
     orthonormal_columns,
+    padded,
     subspace_distance,
     sup,
 )
@@ -46,8 +55,10 @@ class CheckContext:
 
     The group, its GNS space and the seeded stream are set up front, and
     the stages fill in the enumeration and the dual pair.  The per-state
-    expectations, dual states and co-duals, and the table of convolutions
-    of every ordered pair of states, are computed at first use, once.
+    expectations, dual states and co-duals (one stacked call each), the
+    stacked coefficients, supports and L2 projections, and the table of
+    convolutions of every ordered pair of states, are computed at first
+    use, once.
     """
 
     def __init__(self, group, axiom_tol, tol, seed):
@@ -62,7 +73,7 @@ class CheckContext:
 
     @functools.cached_property
     def expectations(self) -> list[np.ndarray]:
-        return [coideal.expectation(s, self.tol) for s in self.states]
+        return coideal.expectations(self.states, self.tol)
 
     @functools.cached_property
     def dual_states(self) -> list[harmonic.IdempotentState]:
@@ -73,14 +84,22 @@ class CheckContext:
         return np.array([s.coeffs for s in self.states])
 
     @functools.cached_property
+    def qperps(self) -> np.ndarray:
+        return np.array([s.q_perp for s in self.states])
+
+    @functools.cached_property
+    def projs(self) -> np.ndarray:
+        """The L2 projections onto the states' coideals."""
+        return np.array([s.l2_projection for s in self.states])
+
+    @functools.cached_property
     def convolutions(self) -> np.ndarray:
         """[i, j]: the coefficients of states[i] * states[j]."""
         return harmonic.convolution_table(self.group, self.coeffs, self.coeffs)
 
     @functools.cached_property
     def coduals(self) -> list[coideal.Coideal]:
-        return [duality.codual(s.coideal, self.pair, self.tol)
-                for s in self.states]
+        return duality.coduals([s.coideal for s in self.states], self.pair, self.tol)
 
 
 def _enumerate(c):
@@ -98,14 +117,18 @@ def _largest(residuals) -> float:
 
 
 def _per_state(fn):
-    """The check reporting the worst fn(context, state) and that state's name."""
+    """The check reporting the worst of fn(context), one residual per state.
+
+    It names the first state that attains the worst residual; no state
+    when every residual is zero (a NaN residual counts as zero).
+    """
     def check(c):
-        worst, which = 0.0, ""
-        for s in c.states:
-            r = fn(c, s)
-            if r > worst:
-                worst, which = r, s.name or "?"
-        return worst, which
+        residuals = np.asarray(fn(c), dtype=float)
+        positive = np.where(residuals > 0.0, residuals, 0.0)
+        i = int(np.argmax(positive)) if positive.size else 0
+        if not positive.size or positive[i] == 0.0:
+            return 0.0, ""
+        return float(positive[i]), c.states[i].name or "?"
     return check
 
 
@@ -126,47 +149,55 @@ def _haar_permutation(c):
 
 
 def _gns_left_regular(c):
-    eye = np.eye(c.group.dim)
-    return _largest(frob(c.space.left_mult[i] @ c.space.embed(eye[a])
-                         - c.space.embed(c.group.multiply(eye[i], eye[a])))
-                    for i in range(c.group.dim) for a in range(c.group.dim)), ""
+    # [i, a]: L(e_i) e_a and e_i e_a in L2, as stacked matrix-vector products
+    t, n = c.space.orthonormal_basis, c.group.dim
+    acted = (c.space.left_mult[:, None] @ t.T[:, :, None])[..., 0]
+    products = (t @ c.group.mult[..., None])[..., 0]
+    return _largest(frobs((acted - products).reshape(n * n, n))), ""
 
 
 def _convolution_associativity(c):
+    # ten triples of functionals, drawn in order, their convolutions stacked
     n = c.group.dim
-    worst = 0.0
-    for _ in range(10):
-        fs = [harmonic.Functional(home=c.group,
-                                  coeffs=c.rng.standard_normal(n)
-                                  + 1j * c.rng.standard_normal(n))
-              for _ in range(3)]
-        lhs = harmonic.convolve(harmonic.convolve(fs[0], fs[1]), fs[2])
-        rhs = harmonic.convolve(fs[0], harmonic.convolve(fs[1], fs[2]))
-        worst = max(worst, sup(lhs.coeffs - rhs.coeffs)
-                    / max(1.0, sup(rhs.coeffs)))
-    return worst, ""
+    fs = np.array([c.rng.standard_normal(n) + 1j * c.rng.standard_normal(n)
+                   for _ in range(30)]).reshape(10, 3, n)
+    conv = lambda a, b: (harmonic.convolution_operators(c.group, a) @ b[..., None])[..., 0]
+    lhs = conv(conv(fs[:, 0], fs[:, 1]), fs[:, 2])
+    rhs = conv(fs[:, 0], conv(fs[:, 1], fs[:, 2]))
+    return _largest(np.abs(lhs - rhs).max(axis=-1)
+                    / np.maximum(1.0, np.abs(rhs).max(axis=-1))), ""
 
 
-def _membership(c, s):
-    # solution space of coproduct(x)(1 (x) qperp) = x (x) qperp vs the coideal
-    group = c.group
-    one_q = np.outer(group.unit, s.q_perp)
-    cols = [(group.tensor_multiply(group.coproduct(e), one_q)
-             - np.outer(e, s.q_perp)).reshape(-1) for e in np.eye(group.dim)]
-    kernel = nullspace(np.column_stack(cols))
-    kernel_l2 = c.space.orthonormal_basis @ kernel
-    return subspace_distance(orthonormal_columns(kernel_l2),
-                             s.coideal.gns_basis())
+def _membership(c):
+    # the solutions x of coproduct(x)(1 (x) q) = x (x) q against the coideal.
+    # system[m, b, p, u] is coproduct(e_b)(1 (x) q_m) - e_b (x) q_m, with
+    # e_r q = sum_t mult[r, t] q[t]; each state's n^2 x n system is one item
+    # of one batched SVD
+    group, n, qs = c.group, c.group.dim, c.qperps
+    right = (group.mult.transpose(0, 2, 1).reshape(n * n, n) @ qs.T).reshape(n, n, -1)
+    system = group.comult.reshape(n * n, n) @ right.transpose(2, 0, 1)
+    system = system.reshape(-1, n, n, n) - np.eye(n)[:, :, None] * qs[:, None, None, :]
+    _, values, vh = np.linalg.svd(system.reshape(-1, n, n * n).swapaxes(-1, -2),
+                                  full_matrices=False)
+    return [subspace_distance(orthonormal_columns(
+        c.space.orthonormal_basis @ dagger(v)[:, _rank(sv, RANK_TOL):]), s.coideal.gns_basis())
+        for s, sv, v in zip(c.states, values, vh)]
 
 
-def _minimal_central(c, s):
-    # q lies in the coideal, commutes with it, and compresses it to one line
-    group, q, basis = c.group, s.q_perp, s.coideal.basis.T
-    compressed = [group.multiply(group.multiply(q, b), q) for b in basis]
-    rank = orthonormal_columns(np.column_stack(compressed)).shape[1]
-    return _largest([0.0 if s.coideal.contains(q, c.tol) else 1.0,
-                     *(frob(group.multiply(q, b) - group.multiply(b, q)) for b in basis),
-                     0.0 if rank == 1 else 1.0])
+def _minimal_central(c):
+    # q lies in the coideal, commutes with it, and compresses it to one line.
+    # The coideal bases are zero-padded to one width: a zero element
+    # commutes and compresses to zero
+    group, n, k = c.group, c.group.dim, len(c.states)
+    width = max(s.coideal.dim for s in c.states)
+    basis = padded([s.coideal.basis for s in c.states]).swapaxes(-1, -2).reshape(k * width, n)
+    qs = np.repeat(c.qperps, width, axis=0)
+    qb = group.multiply(qs, basis)
+    commutators = frobs(qb - group.multiply(basis, qs)).reshape(k, width).max(axis=-1)
+    compressed = group.multiply(qb, qs).reshape(k, width, n)
+    ranks = np.array([_rank(s, RANK_TOL) for s in np.linalg.svd(compressed, compute_uv=False)])
+    outside = containment_defects(c.projs, (c.qperps @ c.space.orthonormal_basis.T)[..., None])
+    return np.maximum(commutators, (~(outside < c.tol) | (ranks != 1)).astype(float))
 
 
 def _haar_type_oracle(c):
@@ -187,14 +218,6 @@ def _haar_type_oracle(c):
     return worst, ""
 
 
-def _by_width(widths, pairs) -> dict[int, list]:
-    """The pairs grouped by a width each has, in first-seen order of widths."""
-    groups = {}
-    for pair, width in zip(pairs, widths):
-        groups.setdefault(width, []).append(pair)
-    return groups
-
-
 def _order_via_coideals(c):
     tol, k = c.tol, len(c.states)
     es = np.array(c.expectations)
@@ -208,7 +231,7 @@ def _order_via_coideals(c):
     # per width of the joined bases
     contain = np.zeros((k, k), dtype=bool)
     pairs = [(i, j) for i in range(k) for j in range(k)]
-    for batch in _by_width([dims[i] + dims[j] for i, j in pairs], pairs).values():
+    for batch in by_key([dims[i] + dims[j] for i, j in pairs], pairs).values():
         values = np.linalg.svd(np.array([np.hstack([bases[i], bases[j]]) for i, j in batch]),
                                compute_uv=False)
         for (i, j), s in zip(batch, values):
@@ -219,19 +242,19 @@ def _order_via_coideals(c):
 
 def _bijection(c):
     backs = coideal.states_from_coideals([s.coideal for s in c.states], c.tol)
-    return _largest(max(sup(back.coeffs - s.coeffs),
-                        subspace_distance(back.coideal.gns_basis(), s.coideal.gns_basis()))
-                    for s, back in zip(c.states, backs)), ""
+    return _largest(np.maximum(
+        np.abs(np.array([back.coeffs for back in backs]) - c.coeffs).max(axis=-1),
+        frobs(np.array([back.l2_projection for back in backs]) - c.projs))), ""
 
 
 def _expectation_projection(c):
-    return _largest(frob(c.space.on_l2(s.conditional_expectation) - s.l2_projection)
-                    for s in c.states), ""
+    es = np.array([s.conditional_expectation for s in c.states])
+    return _largest(frobs(c.space.on_l2(es) - c.projs)), ""
 
 
 def _expectation_uniqueness(c):
-    return (_largest(frob(e - coideal.trace_expectation(s.coideal))
-                     for s, e in zip(c.states, c.expectations)),
+    traced = np.array([coideal.trace_expectation(s.coideal) for s in c.states])
+    return (_largest(frobs(np.array(c.expectations) - traced)),
             "trace vs convolution expectation")
 
 
@@ -289,16 +312,18 @@ def modular_law(lat: lattice.IdempotentLattice,
     bases = [s.coideal.basis for s in states]
     pairs = [(o, m) for o in range(k) for m in range(k)]
     plain = {}
-    for group_pairs in _by_width([(bases[o].shape[1], bases[m].shape[1]) for o, m in pairs],
-                                 pairs).values():
+    for group_pairs in by_key([(bases[o].shape[1], bases[m].shape[1]) for o, m in pairs],
+                              pairs).values():
         lefts, rights = (np.array([bases[pair[side]] for pair in group_pairs])
                          for side in (0, 1))
         u, s, _ = np.linalg.svd(t @ coideal._products(group, lefts, rights),
                                 full_matrices=False)
-        for (o, m), cols, values in zip(group_pairs, u, s):
-            meet_coideal = states[lat.meet_table[o, m]].coideal
-            plain[o, m] = subspace_distance(cols[:, :_rank(values, RANK_TOL)],
-                                            meet_coideal.gns_basis()) < hopf.GAP * tol
+        # each pair's spanning columns: the singular vectors above its rank cut
+        ranks = np.array([_rank(values, RANK_TOL) for values in s])
+        spans = u * (np.arange(u.shape[-1]) < ranks[:, None])[:, None, :]
+        meets = np.array([states[lat.meet_table[o, m]].l2_projection for o, m in group_pairs])
+        near = np.linalg.norm(spans @ dagger(spans) - meets, axis=(-2, -1)) < hopf.GAP * tol
+        plain.update(zip(group_pairs, near))
     distances = {}
     for o, m in pairs:
         if not plain[o, m]:
@@ -316,30 +341,33 @@ def _modular_law(c):
     return _largest(distances.values()), f"{len(distances)} applicable triples"
 
 
+def _coeffs(states) -> np.ndarray:
+    return np.array([s.coeffs for s in states])
+
+
 def _double_dual(c):
     pair2 = duality.dual(c.pair.dual_group, c.tol)
     backs = duality.dual_states(c.dual_states, pair2, c.tol)
-    return _largest(sup(back.coeffs - s.coeffs) for s, back in zip(c.states, backs)), ""
+    return _largest(np.abs(_coeffs(backs) - c.coeffs).max(axis=-1)), ""
 
 
 def _dual_support_slice(c):
-    return _largest(frob(c.space.represent(ds.coeffs) - c.space.represent(s.q_perp))
-                    for s, ds in zip(c.states, c.dual_states)), ""
+    return _largest(frobs(c.space.represent(_coeffs(c.dual_states))
+                          - c.space.represent(c.qperps))), ""
 
 
 def _codual_involution(c):
     # the way back: the co-dual over the dual's dual, moved onto the group
     mirror = duality.dual(c.pair.dual_group, c.tol)
-    backs = [coideal.coideal_from_span(c.group, duality.codual(once, mirror, c.tol).basis,
-                                       c.tol) for once in c.coduals]
-    return _largest(subspace_distance(back.gns_basis(), s.coideal.gns_basis())
-                    for s, back in zip(c.states, backs)), ""
+    backs = coideal.coideals_from_spans(
+        c.group, [once.basis for once in duality.coduals(c.coduals, mirror, c.tol)], c.tol)
+    return _largest(frobs(np.array([back.l2_projector() for back in backs]) - c.projs)), ""
 
 
 def _codual_state(c):
     # the dual state by a second route: the state of the co-dual coideal
-    return _largest(sup(state.coeffs - ds.coeffs) for state, ds in zip(
-        coideal.states_from_coideals(c.coduals, c.tol), c.dual_states)), ""
+    states = coideal.states_from_coideals(c.coduals, c.tol)
+    return _largest(np.abs(_coeffs(states) - _coeffs(c.dual_states)).max(axis=-1)), ""
 
 
 def _exchange(c):
@@ -397,15 +425,16 @@ check_table = [
         c.pair.regular.residuals["pentagon"], f"unitary kind {duality.W_KIND}")),
     ("dual-axioms", _tol, lambda c: (c.pair.residuals["dual-axioms"], "")),
     ("biduality", _tol, lambda c: (c.pair.residuals["biduality"], "")),
-    ("support-reconstruction", _tol, _per_state(lambda c, s: sup(
-        harmonic.state_from_qperp(c.group, s.q_perp).coeffs - s.coeffs))),
-    ("support-group-like", _tol, _per_state(lambda c, s: max(
-        harmonic.projection_defect(c.group, s.q_perp),
-        harmonic.group_like_defect(c.group, s.q_perp)))),
-    ("support-annihilation", _tol, _per_state(lambda c, s: frob(c.group.tensor_multiply(
-        c.group.coproduct(c.group.unit - s.q_perp), np.outer(s.q_perp, s.q_perp))))),
-    ("support-antipode-invariant", _tol, _per_state(lambda c, s: frob(
-        c.group.antipode_of(c.group.unit - s.q_perp) - (c.group.unit - s.q_perp)))),
+    ("support-reconstruction", _tol, _per_state(lambda c: [sup(
+        harmonic.state_from_qperp(c.group, q).coeffs - f) for q, f in zip(c.qperps, c.coeffs)])),
+    ("support-group-like", _tol, _per_state(lambda c: np.maximum(
+        harmonic.projection_defects(c.group, c.qperps),
+        [harmonic.group_like_defect(c.group, q) for q in c.qperps]))),
+    ("support-annihilation", _tol, _per_state(lambda c: [frob(c.group.tensor_multiply(
+        c.group.coproduct(c.group.unit - q), np.outer(q, q))) for q in c.qperps])),
+    ("support-antipode-invariant", _tol, _per_state(lambda c: frobs(
+        (c.group.antipode @ (c.group.unit - c.qperps)[..., None])[..., 0]
+        - (c.group.unit - c.qperps)))),
     ("coideal-membership-criterion", _tol, _per_state(_membership)),
     ("support-minimal-central", _tol, _per_state(_minimal_central)),
     ("haar-type-oracle", 0.5, _haar_type_oracle),

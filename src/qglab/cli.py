@@ -66,39 +66,59 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("file", help="quantum-group JSON file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_examples(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("name", choices=catalog.BUILTIN_NAMES)
+    sub.add_argument("--out", default=None)
+
+
+def _add_idempotents(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
+    sub.add_argument("--seed", type=int, help="accepted and unused")
+    sub.add_argument("--restarts", type=int, help="accepted and unused")
+
+
+def _add_lattice(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
+
+
+def _add_check(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
+                     help="seed of the suite's random probes")
+    sub.add_argument("--restarts", type=int, help="accepted and unused")
+
+
+# each subcommand's help line and the function adding its arguments
+_COMMANDS = {
+    "validate": ("check the structural axioms", _add_common),
+    "examples": ("write a built-in example as JSON", _add_examples),
+    "idempotents": ("enumerate idempotent states", _add_idempotents),
+    "lattice": ("order, tables and Hasse diagram", _add_lattice),
+    "dual": ("construct the dual quantum group", _add_common),
+    "check": ("run the full property suite", _add_check),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of the command line argv.
+
+    Every subcommand is listed with its help line, but only the one that
+    argv[0] names gets its arguments; when it names none (or argv is None)
+    every subcommand gets them.  The help and usage texts are the same
+    either way.
+    """
     parser = argparse.ArgumentParser(
         prog="qglab",
         description="idempotent states, coideal lattices and duality "
                     "on finite quantum groups")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("validate", help="check the structural axioms")
-    _add_common(p)
-
-    p = commands.add_parser("examples", help="write a built-in example as JSON")
-    p.add_argument("name", choices=catalog.BUILTIN_NAMES)
-    p.add_argument("--out", default=None)
-
-    p = commands.add_parser("idempotents", help="enumerate idempotent states")
-    _add_common(p)
-    p.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
-    p.add_argument("--seed", type=int, help="accepted and unused")
-    p.add_argument("--restarts", type=int, help="accepted and unused")
-
-    p = commands.add_parser("lattice", help="order, tables and Hasse diagram")
-    _add_common(p)
-    p.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
-
-    p = commands.add_parser("dual", help="construct the dual quantum group")
-    _add_common(p)
-
-    p = commands.add_parser("check", help="run the full property suite")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
-                   help="seed of the suite's random probes")
-    p.add_argument("--restarts", type=int, help="accepted and unused")
-
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        if named in (None, name):
+            add_arguments(sub)
     return parser
 
 
@@ -265,7 +285,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     internal = (CriteriaDisagree, InternalInconsistency, ConventionFailure)
     try:
         try:

@@ -35,11 +35,14 @@ from .harmonic import (
 from .linalg import (
     RANK_TOL,
     _rank,
+    by_key,
     containment_defect,
+    containment_defects,
     dagger,
     frob,
-    min_eigval,
+    hermitize,
     orthonormal_columns,
+    padded,
     subspace_distance,
 )
 
@@ -85,22 +88,26 @@ def _products(group, left, right) -> np.ndarray:
         *stack, n, -1)
 
 
-def _span_defects(group, basis_alg, basis_gns) -> dict[str, float]:
-    space = hopf.gns(group)
-    t = space.orthonormal_basis
-    n, k = basis_alg.shape
+def _span_defects(group, basis_alg, basis_gns) -> dict[str, np.ndarray]:
+    """The four certificate residuals of each basis of a stack.
+
+    The bases are zero-padded to one width: a zero column adds zero
+    products, a zero adjoint and a zero coproduct, so no residual moves.
+    """
+    t = hopf.gns(group).orthonormal_basis
+    m, n, k = basis_alg.shape
     proj = basis_gns @ dagger(basis_gns)
-    resid = lambda vecs: float(np.max(np.abs(vecs - proj @ vecs))) if vecs.size else 0.0
+    resid = lambda vecs: np.abs(vecs - proj @ vecs).max(axis=(-2, -1), initial=0.0)
 
     d_sub = resid(t @ _products(group, basis_alg, basis_alg))
     d_star = resid(t @ (group.star @ np.conj(basis_alg)))
     d_unit = resid((t @ group.unit)[:, None])
-    # seconds[i] is the coproduct of b_i in L2 (x) L2 coordinates
-    seconds = t @ (basis_alg.T @ group.comult.reshape(n, n * n)).reshape(k, n, n) @ t.T
-    outside = (seconds @ (np.eye(n) - proj).T).reshape(k, n * n)
-    d_coid = float(np.max(np.linalg.norm(outside, axis=1), initial=0.0))
-    return {"subalgebra": d_sub, "star": d_star, "unit": d_unit,
-            "coideal": d_coid}
+    # seconds[:, i] is the coproduct of b_i in L2 (x) L2 coordinates
+    seconds = t @ (basis_alg.swapaxes(-1, -2) @ group.comult.reshape(n, n * n)).reshape(
+        m, k, n, n) @ t.T
+    outside = (seconds @ (np.eye(n) - proj).swapaxes(-1, -2)[:, None]).reshape(m, k, n * n)
+    d_coid = np.linalg.norm(outside, axis=-1).max(axis=-1, initial=0.0)
+    return {"subalgebra": d_sub, "star": d_star, "unit": d_unit, "coideal": d_coid}
 
 
 def coideal_from_span(group, vectors, tol: float = DEFAULT_TOL) -> Coideal:
@@ -109,22 +116,31 @@ def coideal_from_span(group, vectors, tol: float = DEFAULT_TOL) -> Coideal:
     Raises NotASubalgebra, then NotACoideal; a NaN defect fails too.  The
     one-span case of coideals_from_spans.
     """
-    return coideals_from_spans(group, np.asarray(vectors)[None], tol)[0]
+    return coideals_from_spans(group, [vectors], tol)[0]
 
 
 def coideals_from_spans(group, spans, tol: float = DEFAULT_TOL) -> list[Coideal]:
-    """coideal_from_span on each of a stack of equally shaped spanning sets.
+    """coideal_from_span on each of a list of spanning sets.
 
-    The orthonormalizing SVDs run as one batch; each span is then
-    certified in turn, so the first span that fails raises.
+    The orthonormalizing SVDs run as one batch per shape of span, and the
+    certificates of all bases as one stack (_span_defects); then each span
+    is checked in turn, so the first span that fails raises.
     """
     space = hopf.gns(group)
-    u, s, _ = np.linalg.svd(space.orthonormal_basis @ spans, full_matrices=False)
+    spans = [np.asarray(span) for span in spans]
+    if not spans:
+        return []
+    bases = [None] * len(spans)
+    for batch in by_key([span.shape for span in spans], range(len(spans))).values():
+        u, s, _ = np.linalg.svd(space.orthonormal_basis @ np.array([spans[i] for i in batch]),
+                                full_matrices=False)
+        for i, cols, values in zip(batch, u, s):
+            bases[i] = cols[:, :_rank(values, RANK_TOL)]
+    algs = [space.inverse_basis @ basis for basis in bases]
+    table = _span_defects(group, padded(algs), padded(bases))
     coids = []
-    for cols, values in zip(u, s):
-        basis_gns = cols[:, :_rank(values, RANK_TOL)]
-        basis_alg = space.inverse_basis @ basis_gns
-        defects = _span_defects(group, basis_alg, basis_gns)
+    for i, basis_alg in enumerate(algs):
+        defects = {name: float(column[i]) for name, column in table.items()}
         missing = [name for name in ("subalgebra", "star", "unit")
                    if not defects[name] < tol]
         if missing:
@@ -142,21 +158,20 @@ def coideals_from_spans(group, spans, tol: float = DEFAULT_TOL) -> list[Coideal]
 # conditional expectations
 # ----------------------------------------------------------------------
 
-def choi_min_eig(group, e_mat) -> float:
-    """Smallest eigenvalue of the complete-positivity matrix of a map.
+def _choi(group, e_mat, paired) -> np.ndarray:
+    """The complete-positivity matrix of a map, n^2 x n^2.
 
     The matrix pairs the invariant state against compressions of the map
     applied to products of basis elements; the map is completely positive
-    exactly when it is positive semidefinite.  Contracted pairwise.
+    exactly when it is positive semidefinite.  Contracted pairwise;
+    paired[i, b, l] = h((e_i)* e_b e_l) is the group's part, shared by all
+    maps.
     """
-    group = hopf.with_haar(group)
     sm = hopf.star_mult_tensor(group)             # sm[i, b, c]: (e_i)* e_b
     n = group.dim
     mapped = sm @ e_mat.T                         # the map on each (e_j)* e_k
-    paired = sm @ (group.mult @ group.haar)       # h((e_i)* e_b e_l)
     t2 = (mapped.reshape(n * n, n) @ paired).reshape(n, n, n, n)
-    choi = t2.transpose(0, 1, 3, 2).reshape(n * n, n * n)
-    return min_eigval(choi)
+    return t2.transpose(0, 1, 3, 2).reshape(n * n, n * n)
 
 
 def _bimodularity_defect(group, basis_alg, e_mat) -> float:
@@ -169,21 +184,45 @@ def _bimodularity_defect(group, basis_alg, e_mat) -> float:
 def expectation(phi, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The conditional expectation attached to an idempotent state.
 
-    The state is verified (or, if already typed, trusted) by
-    as_idempotent_state, which also shows that the map embeds as the
+    The one-state case of expectations.
+    """
+    return expectations([phi], tol)[0]
+
+
+def expectations(states, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """The conditional expectation attached to each idempotent state.
+
+    The states are verified (or, if already typed, trusted) by
+    as_idempotent_states, which also shows that each map embeds as the
     orthogonal projection onto a unital range, so it is idempotent and
     unital.  Verified here are the two map certificates no constructor
     checks: the map is completely positive and bimodular over its range.
+    Complete positivity is the Cholesky factorization of the Choi matrix
+    shifted by hopf.GAP * tol, which exists exactly when the lowest
+    eigenvalue lies above -hopf.GAP * tol.  Both certificates have n^4
+    intermediates (the Choi matrix, the bimodularity products), so they
+    run state by state, in order, the Choi test first; the group's part
+    of the Choi matrix is formed once.
     """
-    state = as_idempotent_state(phi, tol)
-    group = state.home
-    e = state.conditional_expectation
-    if choi_min_eig(group, e) < -hopf.GAP * tol:
-        raise InternalInconsistency("expectation is not completely positive")
-    worst = _bimodularity_defect(group, state.coideal.basis, e)
-    if worst > hopf.GAP * tol:
-        raise InternalInconsistency(f"expectation is not bimodular ({worst:.2e})")
-    return e
+    states = as_idempotent_states(states, tol)
+    if not states:
+        return []
+    for other in states[1:]:
+        require_same_home(states[0], other)
+    group = hopf.with_haar(states[0].home)
+    n = group.dim
+    paired = hopf.star_mult_tensor(group) @ (group.mult @ group.haar)   # h((e_i)* e_b e_l)
+    shift = hopf.GAP * tol * np.eye(n * n)
+    for state in states:
+        e = state.conditional_expectation
+        try:
+            np.linalg.cholesky(hermitize(_choi(group, e, paired)) + shift)
+        except np.linalg.LinAlgError:
+            raise InternalInconsistency("expectation is not completely positive") from None
+        worst = _bimodularity_defect(group, state.coideal.basis, e)
+        if worst > hopf.GAP * tol:
+            raise InternalInconsistency(f"expectation is not bimodular ({worst:.2e})")
+    return [state.conditional_expectation for state in states]
 
 
 def generated_gns_basis(n1: Coideal, n2: Coideal) -> np.ndarray:
@@ -280,8 +319,9 @@ def as_idempotent_states(functionals, tol: float = DEFAULT_TOL) -> list[Idempote
             raise InternalInconsistency(
                 "expectation does not embed as the orthogonal range projection")
     qperps = support_projections(fs, tol)
-    for coid, qperp in zip(coids, qperps):
-        if not coid.contains(qperp, hopf.GAP * tol):
+    lifted = (hopf.gns(group).orthonormal_basis @ np.array(qperps).T).T[..., None]
+    for outside in containment_defects(projs, lifted):
+        if not outside < hopf.GAP * tol:
             raise InternalInconsistency("support projection lies outside the coideal")
     for i, f, qperp, coid, e, proj in zip(todo, fs, qperps, coids, es, projs):
         out[i] = IdempotentState(functional=f, q_perp=qperp, coideal=coid,

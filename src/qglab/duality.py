@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hopf
-from .coideal import Coideal, as_idempotent_states, coideal_from_span
+from .coideal import Coideal, as_idempotent_states, coideals_from_spans
 from .errors import ConventionFailure, InternalInconsistency
 from .harmonic import (
     DEFAULT_TOL,
@@ -34,7 +34,6 @@ from .harmonic import (
     expectation_matrix,
     group_like_defect,
     state_from_qperp,
-    sup,
 )
 from .linalg import dagger, frob, hermitize
 
@@ -230,26 +229,35 @@ def dual(group: hopf.FiniteQuantumGroup, tol: float = DEFAULT_TOL) -> DualPair:
 # co-duals of coideals
 # ----------------------------------------------------------------------
 
-def _codual_gram(coid: Coideal, pair: DualPair) -> tuple[np.ndarray, float]:
-    """The Gram matrix G = A*A of codual's membership map A, and its kernel cut."""
+def _codual_grams(coids, pair: DualPair) -> tuple[np.ndarray, np.ndarray]:
+    """Each coideal's Gram matrix G = A*A of the co-dual's membership map A, and its cut."""
     c = pair.dual_group.comult
     legs = pair.regular.second_legs
     n = legs.shape[0]
-    basis = coid.gns_basis()
-    r = basis.shape[1]
-    proj = basis @ dagger(basis)
     flat = legs.reshape(n, n * n)
     p = flat.conj() @ flat.T                                  # tr(L_j* L_j')
-    q = flat.conj() @ (legs @ proj).reshape(n, n * n).T       # tr(B* L_k* L_k' B)
-    s = flat.conj() @ proj.reshape(-1)                        # tr(B* L_k* B)
-    cpq = np.tensordot(np.tensordot(c.conj(), p, axes=([1], [0])), q, axes=([1], [0]))
-    cross = (c.conj() @ s) @ p
-    gram = cpq.reshape(n, n * n) @ c.reshape(n, n * n).T - cross - dagger(cross) + r * p
-    return hermitize(gram), CODUAL_CUT * r * float(np.abs(p).max())
+    cp = np.tensordot(c.conj(), p, axes=([1], [0]))
+    grams, cuts = [], []
+    for coid in coids:
+        proj = coid.l2_projector()
+        r = coid.dim
+        q = flat.conj() @ (legs @ proj).reshape(n, n * n).T   # tr(B* L_k* L_k' B)
+        s = flat.conj() @ proj.reshape(-1)                    # tr(B* L_k* B)
+        cross = (c.conj() @ s) @ p
+        gram = (np.tensordot(cp, q, axes=([1], [0])).reshape(n, n * n) @ c.reshape(n, n * n).T
+                - cross - dagger(cross) + r * p)
+        grams.append(hermitize(gram))
+        cuts.append(CODUAL_CUT * r * float(np.abs(p).max()))
+    return np.array(grams), np.array(cuts)
 
 
 def codual(coid: Coideal, pair: DualPair, tol: float = DEFAULT_TOL) -> Coideal:
-    """Co-dual of a coideal of the group: the matching coideal of the dual.
+    """Co-dual of a coideal of the group: the one-coideal case of coduals."""
+    return coduals([coid], pair, tol)[0]
+
+
+def coduals(coids, pair: DualPair, tol: float = DEFAULT_TOL) -> list[Coideal]:
+    """Co-dual of each coideal of the group: the matching coideal of the dual.
 
     The co-dual of a coideal N is the set of dual elements y with
     (coproduct of y)(1 (x) P) = y (x) P, where P = BB* projects L2 onto N
@@ -270,14 +278,22 @@ def codual(coid: Coideal, pair: DualPair, tol: float = DEFAULT_TOL) -> Coideal:
     problem, not with G's largest eigenvalue: G's entries are sums of terms
     of that size, and on the scalars (the Haar state's coideal) G = 0.  On
     every example the kernel's eigenvalues lie below 2.1e-15 * r * max |P|
-    and the others at 2 r max |P|.  coideal_from_span certifies the
-    kernel.  The way back is the co-dual over dual(pair.dual_group), whose
-    dual group has the group's tensors, moved onto the group by
-    coideal_from_span.
+    and the others at 2 r max |P|.  The way back is the co-dual over
+    dual(pair.dual_group), whose dual group has the group's tensors, moved
+    onto the group by coideals_from_spans.
+
+    P and c* P are formed once.  The c* (P (x) Q) c^T contraction does n^4
+    work per coideal, so each Gram matrix is built in turn (stacking them
+    would hold every coideal's n^3 intermediates at once); one batched eigh
+    then takes every kernel, and coideals_from_spans certifies the kernels,
+    batched by dimension, raising for the first that fails.
     """
-    gram, cut = _codual_gram(coid, pair)
-    evals, vecs = np.linalg.eigh(gram)
-    return coideal_from_span(pair.dual_group, vecs[:, evals <= cut], tol)
+    grams, cuts = _codual_grams(coids, pair)
+    if not len(grams):
+        return []
+    spectra, bases = np.linalg.eigh(grams)
+    return coideals_from_spans(pair.dual_group, [
+        vecs[:, evals <= cut] for evals, vecs, cut in zip(spectra, bases, cuts)], tol)
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +327,16 @@ def dual_states(states, pair: DualPair, tol: float = DEFAULT_TOL) -> list[Idempo
         [state_from_qperp(dual_group, state.coeffs, tol,
                           name=f"dual({state.name})" if state.name else None)
          for state in states], tol)
-    for state, out in zip(states, outs):
-        if sup(out.coeffs - state.q_perp) > hopf.GAP * tol:
+    n = dual_group.dim
+    held = np.array([[s.q_perp, s.coeffs] for s in states]).reshape(-1, 2, n)
+    got = np.array([[s.coeffs, s.q_perp] for s in outs]).reshape(-1, 2, n)
+    # [i, 0]: the slice against the support; [i, 1]: the support against the state
+    for slice_gap, support_gap in np.abs(got - held).max(axis=-1):
+        if slice_gap > hopf.GAP * tol:
             raise InternalInconsistency(
                 "slicing the regular unitary by the dual state "
                 "does not return the support projection")
-        if sup(out.q_perp - state.coeffs) > hopf.GAP * tol:
+        if support_gap > hopf.GAP * tol:
             raise InternalInconsistency(
                 "dual state's support is not the original coefficient vector")
     return outs

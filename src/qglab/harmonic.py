@@ -30,6 +30,7 @@ from .linalg import (
     containment_defects,
     dagger,
     frob,
+    frobs,
     hermitize,
     projector,
     sup,
@@ -148,8 +149,16 @@ def expectation_matrix(phi: Functional) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def projection_defect(group: hopf.FiniteQuantumGroup, p) -> float:
-    p = np.asarray(p, complex)
-    return max(frob(group.multiply(p, p) - p), frob(group.adjoint(p) - p))
+    """max(|p p - p|, |p* - p|): the one-element case of projection_defects."""
+    return float(projection_defects(group, np.asarray(p)[None])[0])
+
+
+def projection_defects(group: hopf.FiniteQuantumGroup, ps) -> np.ndarray:
+    """max(|p p - p|, |p* - p|) for each row p of ps."""
+    ps = np.asarray(ps, complex)
+    squares = group.multiply(ps, ps)
+    adjoints = (group.star @ np.conj(ps)[..., None])[..., 0]
+    return np.maximum(frobs(squares - ps), frobs(adjoints - ps))
 
 
 def support_projection(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -176,9 +185,12 @@ def support_projections(functionals, tol: float = DEFAULT_TOL) -> list[np.ndarra
     and it is a minimal central projection of the coideal
     (support-minimal-central).
 
-    The value on 1, the density solve and its eigendecomposition run as
-    stacks; each test raises for the first state that fails it.  The
-    pull-back is one least-squares solve per state.
+    The value on 1, the density solve, its eigendecomposition and the
+    pull-back's fit and projection defects run as stacks; each test raises
+    for the first state that fails it, the fit before the defect.  The
+    pull-back is one least-squares solve per state: one solve with a
+    column per state moves the support-reconstruction residual in its
+    last bits.
     """
     group = hopf.with_haar(functionals[0].home)
     space = hopf.gns(group)
@@ -198,20 +210,18 @@ def support_projections(functionals, tol: float = DEFAULT_TOL) -> list[np.ndarra
         if evals[0] < -cut:
             raise NotAState(f"density has a negative eigenvalue ({evals[0]:.2e})")
     rep = space.left_mult.transpose(1, 2, 0).reshape(group.dim ** 2, group.dim)
-    projections = []
-    for evals, vecs, cut in zip(spectra, bases, cuts):
-        support = vecs[:, evals > cut]
-        proj_mat = support @ dagger(support)
-        q, _, _, _ = np.linalg.lstsq(rep, proj_mat.reshape(-1), rcond=None)
-        fit = frob(space.represent(q) - proj_mat)
+    supports = [vecs[:, evals > cut] for evals, vecs, cut in zip(spectra, bases, cuts)]
+    proj_mats = np.array([support @ dagger(support) for support in supports])
+    qs = np.array([np.linalg.lstsq(rep, proj_mat.reshape(-1), rcond=None)[0]
+                   for proj_mat in proj_mats])
+    fits = frobs(space.represent(qs) - proj_mats)
+    for fit, defect in zip(fits, projection_defects(group, qs)):
         if fit > hopf.GAP * tol:
             raise InternalInconsistency(
                 f"spectral projection does not pull back to the algebra (fit {fit:.2e})")
-        defect = projection_defect(group, q)
         if defect > hopf.GAP * tol:
             raise InternalInconsistency(f"support is not a projection ({defect:.2e})")
-        projections.append(q)
-    return projections
+    return list(qs)
 
 
 def left_kernel_basis(phi: Functional, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -329,6 +339,17 @@ def preceq(mu: IdempotentState, nu: IdempotentState,
     return bool(order_table([mu], [nu], tol)[0, 0])
 
 
+def projections_precede(pa, pb, tol: float = DEFAULT_TOL):
+    """The residuals |P_a P_b - P_b|_F of two broadcast stacks of L2
+    projections, and whether each is below tol.
+
+    The order's projection criterion: pa's state precedes pb's exactly when
+    pb's range lies in pa's.  order_table and lattice._close decide with it.
+    """
+    residuals = np.linalg.norm(pa @ pb - pb, axis=(-2, -1))
+    return residuals, residuals < tol
+
+
 def order_table(mus, nus, tol: float = DEFAULT_TOL) -> np.ndarray:
     """table[i, j]: whether mus[i] precedes nus[j] in the domination order.
 
@@ -352,8 +373,8 @@ def order_table(mus, nus, tol: float = DEFAULT_TOL) -> np.ndarray:
     # the range criterion reads the coideal bases, not the held projections
     ranges = np.array([projector(mu.coideal.gns_basis()) for mu in mus])
     r3 = np.column_stack([containment_defects(ranges, nu.coideal.gns_basis()) for nu in nus])
-    r4 = np.linalg.norm(pmu[:, None] @ pnu - pnu, axis=(-2, -1))
-    answers = np.array([r1 < tol, r2 < tol, r3 < tol, r4 < tol])
+    r4, by_projection = projections_precede(pmu[:, None], pnu, tol)
+    answers = np.array([r1 < tol, r2 < tol, r3 < tol, by_projection])
     disagree = np.argwhere(answers.any(axis=0) & ~answers.all(axis=0))
     if disagree.size:
         i, j = disagree[0]

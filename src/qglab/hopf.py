@@ -96,7 +96,8 @@ class FiniteQuantumGroup:
     # algebra operations on coefficient vectors
     # ------------------------------------------------------------------
     def multiply(self, a, b) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(a, complex),
+        """The product a b, or the product of each pair of rows of two stacks."""
+        return np.einsum("...i,...j,ijk->...k", np.asarray(a, complex),
                          np.asarray(b, complex), self.mult)
 
     def adjoint(self, a) -> np.ndarray:

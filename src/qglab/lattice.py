@@ -11,17 +11,21 @@ the limits of the Cesaro means of the convolution powers of spectral
 vector states, on the group and on its dual, the dual's pulled back
 through the state duality.  Both limits are one closed form,
 _ergodic_limit: no power is iterated.  One closure then computes the
-meet and the join of every pair once, as GNS bases: a result whose coideal
-a listed state already has is that state, and only a new coideal is built
-and verified as a state and appended.  The closure's tables, permuted into
-canonical order, are the lattice that enumeration returns, so nothing
-downstream recomputes an operation.  Work over many pairs or states runs
-as stacked array passes, each single-item function being the one-item
-case of its stacked form: a lattice's order is one harmonic.order_table,
-a closure round's joins one batched SVD, the states of a list are
+meet and the join of every pair once.  Comparable pairs are read off the
+order: when one state precedes the other, the meet is the first and the
+join the second.  Every other pair's meet and join are formed as GNS
+bases: a result whose coideal a listed state already has is that state,
+and only a new coideal is built and verified as a state and appended.
+The closure's tables, permuted into canonical order, are the lattice that
+enumeration returns, so nothing downstream recomputes an operation.  Work
+over many pairs or states runs as stacked array passes, each single-item
+function being the one-item case of its stacked form: a lattice's order
+is one harmonic.order_table, a closure round's comparabilities one
+stacked product and its joins one batched SVD, the states of a list are
 verified together by coideal.as_idempotent_states, and the property
 suite's joins (joins_with_diagnostics) and commutations
-(commutation_table) are one batch each.  Meets stay per pair.
+(commutation_table) are one batch each.  The meets of incomparable pairs
+are generated pair by pair.
 
 Everything here is a pure function of immutable inputs: the generated
 seeds come from one fixed stream, and results merge by sorted
@@ -47,13 +51,14 @@ from .harmonic import (
     IdempotentState,
     convolution_operators,
     convolution_table,
-    expectation_matrix,
+    expectation_matrices,
     idempotent_rows,
     order_table,
+    projections_precede,
     require_same_home,
     sup,
 )
-from .linalg import _rank, dagger, frob, subspace_intersection, subspace_intersections
+from .linalg import _rank, dagger, subspace_intersection, subspace_intersections
 
 STRATEGIES = ("auto", "catalog", "generated")
 _SEED_STREAM = 0   # the generated seeds' fixed stream; no option reaches it
@@ -186,15 +191,19 @@ def _close(states, tol):
     """Close a list under meet and join, computing each unordered pair once.
 
     Pairs are taken in rounds: each round computes the pairs that involve a
-    state appended in the previous round.  A meet is the subalgebra the two
-    coideals generate and a join their intersection, each a GNS basis; a
+    state appended in the previous round.  A comparable pair's meet and join
+    are read off the order: when one state precedes the other (N_j in N_i,
+    order_table's projection criterion, harmonic.projections_precede, one
+    stacked product per round), the meet is the first and the join the
+    second.  For every other pair the meet is the subalgebra the two
+    coideals generate and the join their intersection, each a GNS basis; a
     round's joins come from one batched SVD (subspace_intersections), its
-    meets are generated pair by pair.  A
-    result within the gap bound of state_from_coideal (hopf.GAP * tol between
-    L2 projections) of a listed state's coideal is that state, found in one
-    norm over the stacked projections; only a new coideal is certified,
-    built into a state and appended.  Returns the grown list (input states
-    first) and the meet and join tables indexing it.
+    meets are generated pair by pair.  A result within the gap bound of
+    state_from_coideal (hopf.GAP * tol between L2 projections) of a listed
+    state's coideal is that state, found in one norm over the stacked
+    projections; only a new coideal is certified, built into a state and
+    appended.  Returns the grown list (input states first) and the meet and
+    join tables indexing it.
     """
     states = list(states)
     held = np.array([s.l2_projection for s in states])
@@ -216,11 +225,22 @@ def _close(states, tol):
     while done < len(states):
         size = len(states)
         pairs = [(i, j) for i in range(size) for j in range(max(i, done), size)]
-        intersections = subspace_intersections(
-            *(held[[pair[side] for pair in pairs]] for side in (0, 1)))
-        for (i, j), intersection in zip(pairs, intersections):
-            meets[i, j] = index_of(generated_gns_basis(states[i].coideal, states[j].coideal))
-            joins[i, j] = index_of(intersection)
+        lo, hi = np.array(pairs).T
+        # [:len(pairs)]: lo precedes hi; [len(pairs):]: hi precedes lo
+        _, below = projections_precede(held[np.r_[lo, hi]], held[np.r_[hi, lo]], tol)
+        rest = []
+        for (i, j), i_first, j_first in zip(pairs, below[:len(pairs)], below[len(pairs):]):
+            if i_first or j_first:
+                meets[i, j], joins[i, j] = (i, j) if i_first else (j, i)
+            else:
+                rest.append((i, j))
+        if rest:
+            intersections = subspace_intersections(
+                *(held[[pair[side] for pair in rest]] for side in (0, 1)))
+            for (i, j), intersection in zip(rest, intersections):
+                meets[i, j] = index_of(generated_gns_basis(states[i].coideal,
+                                                           states[j].coideal))
+                joins[i, j] = index_of(intersection)
         done = size
         if len(states) > states[0].home.dim ** 2 + 4:
             raise InternalInconsistency("closure under meet/join is not stabilizing")
@@ -332,15 +352,20 @@ def _dedup(functionals, tol):
 
     As in _close, two coideals are one when their projections, here the
     expectations on L2, lie within the gap bound hopf.GAP * tol; distinct
-    states' coefficients can be 2/n apart, below it.
+    states' coefficients can be 2/n apart, below it.  The distances of
+    every pair are one norm.
     """
-    seen, kept = [], []
-    for f in functionals:
-        l2 = hopf.gns(f.home).on_l2(expectation_matrix(f))
-        if all(frob(l2 - other) > hopf.GAP * tol for other in seen):
-            kept.append(f)
-            seen.append(l2)
-    return kept
+    if not functionals:
+        return []
+    group = functionals[0].home
+    coeffs = np.array([f.coeffs for f in functionals])
+    l2 = hopf.gns(group).on_l2(expectation_matrices(group, coeffs))
+    apart = np.linalg.norm(l2[:, None] - l2, axis=(-2, -1)) > hopf.GAP * tol
+    kept = []
+    for i, f in enumerate(functionals):
+        if apart[i, kept].all():
+            kept.append(i)
+    return [functionals[i] for i in kept]
 
 
 def _canonical_order(states) -> list[int]:

@@ -17,6 +17,18 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def frobs(stack) -> np.ndarray:
+    """frob of each item of a stack, to the bit.
+
+    Summed as np.linalg.norm sums a whole array (the real parts' dot plus
+    the imaginary parts'), each dot one BLAS call; norm over axes sums in
+    another order, so its last bits differ from frob's.
+    """
+    flat = np.asarray(stack).reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
+
+
 def sup(a) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
@@ -41,6 +53,22 @@ def _rank(s: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(s > rel_tol * s.max(initial=1.0)))
 
 
+def by_key(keys, items) -> dict:
+    """The items grouped by a key each has, in first-seen order of keys."""
+    groups = {}
+    for item, key in zip(items, keys):
+        groups.setdefault(key, []).append(item)
+    return groups
+
+
+def padded(mats) -> np.ndarray:
+    """A stack of matrices with one row count, zero columns appended up to the widest."""
+    out = np.zeros((len(mats), mats[0].shape[0], max(m.shape[1] for m in mats)), complex)
+    for item, m in zip(out, mats):
+        item[:, :m.shape[1]] = m
+    return out
+
+
 def orthonormal_columns(cols: np.ndarray) -> np.ndarray:
     """SVD-orthonormalized basis of the column space, rank-truncated."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
@@ -61,11 +89,14 @@ def projector(basis: np.ndarray) -> np.ndarray:
 
 
 def containment_defects(projs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """max over columns v of ||(1 - P) v|| / ||v||, for each P of a stack of projectors."""
-    if vectors.shape[1] == 0:
+    """max over columns v of ||(1 - P) v|| / ||v||, for each P of a stack of projectors.
+
+    vectors is one set of columns for every P, or a stack of sets, one per P.
+    """
+    if vectors.shape[-1] == 0:
         return np.zeros(projs.shape[:-2])
     resid = vectors - projs @ vectors
-    norms = np.linalg.norm(vectors, axis=0)
+    norms = np.linalg.norm(vectors, axis=-2)
     norms = np.where(norms > 0.0, norms, 1.0)
     return np.max(np.linalg.norm(resid, axis=-2) / norms, axis=-1)
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -444,3 +445,74 @@ def test_search_is_not_a_strategy(z2_file, capsys):
         cli.main(["idempotents", "--strategy", "search", z2_file])
     assert exc.value.code == cli.EXIT_INPUT_ERROR
     assert "invalid choice: 'search'" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# the per-command parser against the parser that builds every subcommand
+# ----------------------------------------------------------------------
+
+def every_subcommand_parser(argv=None):
+    # the parser as it was before each command line built only its own
+    # subcommand's arguments
+    parser = argparse.ArgumentParser(
+        prog="qglab",
+        description="idempotent states, coideal lattices and duality "
+                    "on finite quantum groups")
+    commands = parser.add_subparsers(dest="command", required=True)
+    p = commands.add_parser("validate", help="check the structural axioms")
+    cli._add_common(p)
+    p = commands.add_parser("examples", help="write a built-in example as JSON")
+    p.add_argument("name", choices=catalog.BUILTIN_NAMES)
+    p.add_argument("--out", default=None)
+    p = commands.add_parser("idempotents", help="enumerate idempotent states")
+    cli._add_common(p)
+    p.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
+    p.add_argument("--seed", type=int, help="accepted and unused")
+    p.add_argument("--restarts", type=int, help="accepted and unused")
+    p = commands.add_parser("lattice", help="order, tables and Hasse diagram")
+    cli._add_common(p)
+    p.add_argument("--strategy", choices=lattice.STRATEGIES, default="auto")
+    p = commands.add_parser("dual", help="construct the dual quantum group")
+    cli._add_common(p)
+    p = commands.add_parser("check", help="run the full property suite")
+    cli._add_common(p)
+    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
+                   help="seed of the suite's random probes")
+    p.add_argument("--restarts", type=int, help="accepted and unused")
+    return parser
+
+
+def outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["-h", "check"], ["search", "x.json"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["check", "no-such-file.json"], ["check", "x.json", "--tol", "0"],
+    ["examples", "c_q8"], ["idempotents", "x.json", "--strategy", "search"],
+    ["lattice", "x.json", "--seed", "1"]])
+def test_per_command_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    # help, usage errors and exit codes, byte for byte, at a fixed width
+    monkeypatch.setenv("COLUMNS", "80")
+    got = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", every_subcommand_parser)
+    assert got == outcome(capsys, argv)
+    assert got[0] in (0, 2)
+
+
+def test_only_the_named_subcommand_gets_its_arguments():
+    def subparsers(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    named = subparsers(cli.build_parser(["check", "x.json"]))
+    assert list(named) == list(cli._COMMANDS)
+    assert {name for name, p in named.items() if len(p._actions) > 1} == {"check"}
+    every = subparsers(cli.build_parser(["no-command"]))
+    assert all(len(p._actions) > 1 for p in every.values())

@@ -293,31 +293,45 @@ def test_order_criteria_through_coideal_operations(c_s3):
             assert conv == comp == contain == porder
 
 
-@pytest.mark.parametrize("name", ["c_s3", "cg_s3"])
-@pytest.mark.parametrize("k", [0, 1, 4, 6])
-def test_span_defects_match_single_contractions(name, k):
-    # the defects of a random span against the einsum strings they replace
-    g = catalog.builtin(name)
+def reference_span_defects(g, basis_gns):
+    # the einsum strings that the stacked contractions replace, on one span
     space = hopf.gns(g)
-    rng = np.random.default_rng(k)
-    vecs = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
-    basis_gns = orthonormal_columns(space.orthonormal_basis @ vecs)
+    n, k = basis_gns.shape
     basis_alg = space.inverse_basis @ basis_gns
     t, proj = space.orthonormal_basis, basis_gns @ basis_gns.conj().T
     products = np.einsum("ai,abc,bj->cij", basis_alg, g.mult,
-                         basis_alg).reshape(6, k * k)
+                         basis_alg).reshape(n, k * k)
     seconds = np.einsum("pq,iqr,rs->ips", t, np.einsum(
         "ai,ajk->ijk", basis_alg, g.comult), t.T)
     lifted = t @ products
     d_sub = np.abs(lifted - proj @ lifted).max() if k else 0.0
-    d_coid = max((frob(s @ (np.eye(6) - proj).T) for s in seconds), default=0.0)
-    defects = coideal._span_defects(g, basis_alg, basis_gns)
-    assert abs(defects["subalgebra"] - d_sub) < 1e-12
-    assert abs(defects["coideal"] - d_coid) < 1e-12
+    d_coid = max((frob(s @ (np.eye(n) - proj).T) for s in seconds), default=0.0)
+    return d_sub, d_coid
+
+
+@pytest.mark.parametrize("name", ["c_s3", "cg_s3"])
+@pytest.mark.parametrize("k", [0, 1, 4, 6])
+def test_span_defects_match_single_contractions(name, k):
+    # a random span of width k, zero-padded in a stack beside a span of
+    # width 5, against the einsum strings on each span alone
+    g = catalog.builtin(name)
+    space = hopf.gns(g)
+    rng = np.random.default_rng(k)
+    spans = [orthonormal_columns(space.orthonormal_basis @ (
+        rng.standard_normal((6, w)) + 1j * rng.standard_normal((6, w)))) for w in (k, 5)]
+    width = max(b.shape[1] for b in spans)
+    padded = np.zeros((2, 6, width), complex)
+    for i, b in enumerate(spans):
+        padded[i, :, :b.shape[1]] = b
+    defects = coideal._span_defects(g, space.inverse_basis @ padded, padded)
+    for i, b in enumerate(spans):
+        d_sub, d_coid = reference_span_defects(g, b)
+        assert abs(defects["subalgebra"][i] - d_sub) < 1e-12
+        assert abs(defects["coideal"][i] - d_coid) < 1e-12
 
 
 def reference_choi(group, e_mat):
-    # the three unpathed einsums that choi_min_eig contracted before
+    # the three unpathed einsums that _choi contracts pairwise
     group = hopf.with_haar(group)
     sm = hopf.star_mult_tensor(group)
     n = group.dim
@@ -337,22 +351,24 @@ def reference_bimodularity(group, basis_alg, e):
     return frob(lhs - rhs)
 
 
+def choi_pairing(group):
+    # h((e_i)* e_b e_l), the group's part of every Choi matrix
+    return hopf.star_mult_tensor(group) @ (group.mult @ group.haar)
+
+
 @pytest.mark.parametrize("name", ["c_s3", "cg_s3", "kp"])
-def test_pairwise_map_certificates_match_the_einsums(name, monkeypatch):
+def test_pairwise_map_certificates_match_the_einsums(name):
     # on each state's expectation, where both certificates hold, and on a
     # random map, where neither does and the residuals are of order one
     group = named_group(name)
     n = group.dim
     rng = np.random.default_rng(n)
-    held = []
-    monkeypatch.setattr(coideal, "min_eigval",
-                        lambda m: held.append(m) or linalg.min_eigval(m))
     for s in lattice.enumerate_idempotents(group).states:
         random_map = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for e in (s.conditional_expectation, random_map):
-            coideal.choi_min_eig(group, e)
+            choi = coideal._choi(group, e, choi_pairing(group))
             reference = reference_choi(group, e)
-            assert frob(held.pop() - reference) < 1e-12 * max(1.0, frob(reference))
+            assert frob(choi - reference) < 1e-12 * max(1.0, frob(reference))
             bimodular = reference_bimodularity(group, s.coideal.basis, e)
             pairwise = coideal._bimodularity_defect(group, s.coideal.basis, e)
             assert abs(pairwise - bimodular) < 1e-12 * max(1.0, bimodular)
@@ -411,3 +427,111 @@ def test_as_idempotent_states_raises_for_the_first_failing_functional(c_z2):
     with pytest.raises(NotIdempotent) as one:
         coideal.as_idempotent_state(bad)
     assert str(info.value) == str(one.value)
+
+
+# ----------------------------------------------------------------------
+# the stacked certificates against their one-item cases
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["kp", "c_d6"])
+def test_coideals_from_spans_match_the_one_span_calls(name):
+    # spans of every width in one list, each against its own call
+    group = named_group(name)
+    spans = [s.conditional_expectation for s in lattice.enumerate_idempotents(group).states]
+    spans += [s.coideal.basis for s in lattice.enumerate_idempotents(group).states]
+    for span, got in zip(spans, coideal.coideals_from_spans(group, spans)):
+        one = coideal.coideal_from_span(group, span)
+        assert np.array_equal(got.basis, one.basis)
+        for key, value in one.defects.items():
+            assert abs(got.defects[key] - value) < 1e-14, key
+
+
+def test_coideals_from_spans_raise_for_the_first_failing_span(c_s3):
+    # a subalgebra that is no coideal, then a span that is no subalgebra:
+    # the first raises, with its own call's message
+    whole = np.eye(c_s3.dim)
+    no_coideal = delta_e_and_unit(c_s3)
+    no_algebra = np.eye(c_s3.dim)[:, 1:3]
+    with pytest.raises(NotACoideal) as one:
+        coideal.coideal_from_span(c_s3, no_coideal)
+    with pytest.raises(NotACoideal) as stacked:
+        coideal.coideals_from_spans(c_s3, [whole, no_coideal, no_algebra])
+    assert str(stacked.value) == str(one.value)
+    with pytest.raises(NotASubalgebra) as one:
+        coideal.coideal_from_span(c_s3, no_algebra)
+    with pytest.raises(NotASubalgebra) as stacked:
+        coideal.coideals_from_spans(c_s3, [whole, no_algebra, no_coideal])
+    assert str(stacked.value) == str(one.value)
+
+
+@pytest.mark.parametrize("name", ["kp", "c_d6"])
+def test_expectations_match_the_one_state_calls(name):
+    states = lattice.enumerate_idempotents(named_group(name)).states
+    for s, got in zip(states, coideal.expectations(states)):
+        assert np.array_equal(got, coideal.expectation(s))
+        assert got is s.conditional_expectation
+
+
+def test_expectations_raise_for_the_first_failing_state():
+    # state 2 is not completely positive (its map negated) and state 4 not
+    # bimodular (another state's map, which is completely positive); each
+    # is checked in list order, complete positivity first
+    states = lattice.enumerate_idempotents(named_group("kp")).states
+    negated = dataclasses.replace(
+        states[2], conditional_expectation=-states[2].conditional_expectation)
+    borrowed = dataclasses.replace(
+        states[4], conditional_expectation=states[5].conditional_expectation)
+    for bad, message in ((negated, "not completely positive"), (borrowed, "not bimodular")):
+        with pytest.raises(InternalInconsistency, match=message) as one:
+            coideal.expectation(bad)
+        with pytest.raises(InternalInconsistency) as stacked:
+            coideal.expectations([states[0], bad, states[1]])
+        assert str(stacked.value) == str(one.value)
+    with pytest.raises(InternalInconsistency, match="not bimodular"):
+        coideal.expectations([states[0], borrowed, negated])
+    with pytest.raises(InternalInconsistency, match="not completely positive"):
+        coideal.expectations([states[0], negated, borrowed])
+
+
+def spectrum_says_completely_positive(group, e, tol=hopf.DERIVED_TOL):
+    # the oracle: the lowest eigenvalue of the Choi matrix against the bound
+    return linalg.min_eigval(coideal._choi(group, e, choi_pairing(group))) >= -hopf.GAP * tol
+
+
+ALL_INPUTS = ["c_z2", "c_z3", "c_z4", "c_s3", "cg_s3", "cg_z4", "kp",
+              "c_d4", "c_d5", "c_d6", "cg_d4", "cg_d5", "cg_d6"]
+
+
+@pytest.mark.parametrize("name", ALL_INPUTS)
+def test_cholesky_and_spectrum_decide_complete_positivity_alike(name):
+    # every state's expectation passes both; its negation fails both
+    group = named_group(name)
+    states = lattice.enumerate_idempotents(group).states
+    coideal.expectations(states)
+    for s in states:
+        assert spectrum_says_completely_positive(group, s.conditional_expectation)
+        negated = -s.conditional_expectation
+        assert not spectrum_says_completely_positive(group, negated)
+        with pytest.raises(InternalInconsistency, match="not completely positive"):
+            coideal.expectation(dataclasses.replace(s, conditional_expectation=negated))
+
+
+def test_expectation_rejects_a_positive_map_that_is_not_completely_positive():
+    # on KP's 2 x 2 block, with matrix units delta_a, delta_b, delta_a u and
+    # delta_b u (a = (1, 0), b = (0, 1); coordinates 1, 2, 5 and 6), the
+    # transpose swaps coordinates 5 and 6; it is the identity on the other
+    # blocks, so the map is positive, but not completely positive
+    group = named_group("kp")
+    space = hopf.gns(group)
+    transpose = np.eye(group.dim)[[0, 1, 2, 3, 4, 6, 5, 7]]
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        # positive: a* a goes to an element whose L2 operator is positive
+        a = rng.standard_normal(group.dim) + 1j * rng.standard_normal(group.dim)
+        image = transpose @ group.multiply(group.adjoint(a), a)
+        assert linalg.min_eigval(space.represent(image)) > -1e-12
+    assert not spectrum_says_completely_positive(group, transpose)
+    counit = next(s for s in lattice.enumerate_idempotents(group).states
+                  if s.coideal.dim == group.dim)
+    with pytest.raises(InternalInconsistency, match="not completely positive"):
+        coideal.expectation(dataclasses.replace(counit, conditional_expectation=transpose))

@@ -359,11 +359,12 @@ def test_gram_codual_cut_sits_in_a_wide_gap(name):
     # the kernel's eigenvalues lie 1e6 below the cut and the others 1e6 above
     g = named_group(name)
     pair = duality.dual(g)
-    for s in lattice.enumerate_idempotents(g).states:
-        gram, cut = duality._codual_gram(s.coideal, pair)
+    coids = [s.coideal for s in lattice.enumerate_idempotents(g).states]
+    grams, cuts = duality._codual_grams(coids, pair)
+    for gram, cut, once in zip(grams, cuts, duality.coduals(coids, pair)):
         evals = np.linalg.eigvalsh(gram)
         kernel, others = evals[evals <= cut], evals[evals > cut]
-        assert kernel.size == duality.codual(s.coideal, pair).dim
+        assert kernel.size == once.dim
         assert np.abs(kernel).max() <= cut / 1e6
         assert others.min(initial=np.inf) >= cut * 1e6
 
@@ -376,7 +377,7 @@ def test_gram_of_the_scalars_vanishes(name):
     g = named_group(name)
     pair = duality.dual(g)
     haar = next(s for s in lattice.enumerate_idempotents(g).states if s.coideal.dim == 1)
-    gram, cut = duality._codual_gram(haar.coideal, pair)
+    (gram,), (cut,) = duality._codual_grams([haar.coideal], pair)
     assert np.abs(gram).max() < 1e-12 and cut > 0.0
     assert duality.codual(haar.coideal, pair).dim == g.dim
 
@@ -395,6 +396,35 @@ def test_codual_memory_at_n24():
         tracemalloc.stop()
     assert once.dim == 1
     assert peak < 10 * 2 ** 20
+
+
+def test_stacked_certificates_memory_at_n24():
+    # the co-duals and the expectations of all 34 states of C(D12): an
+    # n**4 intermediate (a Choi matrix, 576 x 576) stacked over the states
+    # would need about 180 MB; per state, the peak stays far below
+    g = hopf.function_algebra(dihedral_table(12))
+    pair = duality.dual(g)
+    states = lattice.enumerate_idempotents(g).states
+    assert len(states) == 34
+    for run in (lambda: duality.coduals([s.coideal for s in states], pair),
+                lambda: coideal.expectations(states)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["kp", "c_d6"])
+def test_coduals_match_the_one_coideal_calls(name):
+    g = named_group(name)
+    pair = duality.dual(g)
+    coids = [s.coideal for s in lattice.enumerate_idempotents(g).states]
+    for coid, got in zip(coids, duality.coduals(coids, pair)):
+        one = duality.codual(coid, pair)
+        assert np.array_equal(got.basis, one.basis)
 
 
 # ----------------------------------------------------------------------
@@ -539,18 +569,21 @@ def test_property_suite_call_counts(monkeypatch):
     # join-two-paths, and checked there against the verified closed-form
     # join in the table, whose L2 projection is held, so no pair's
     # intersection is rebuilt.  The enumeration's closure is the only one:
-    # it forms meets and joins as GNS bases and certifies a coideal only
-    # when no listed state has it.  Each lattice reads its order from one
-    # table (the enumeration's, and the dual states' in duality-exchange);
-    # the order check reads coideal containment off the held bases.  The
-    # states of a list are verified together: the suite's dual states, the
-    # double dual's, and the states of the coideals and of the co-duals
+    # it reads a comparable pair's meet and join off the order, forms the
+    # other pairs' meets and joins as GNS bases, and certifies a coideal
+    # only when no listed state has it; on C(S3) 6 of its 21 pairs are
+    # incomparable.  Each lattice reads its order from one table (the
+    # enumeration's, and the dual states' in duality-exchange); the order
+    # check reads coideal containment off the held bases.  Lists are
+    # verified together: the suite's dual states, the double dual's, the
+    # states of the coideals and of the co-duals, the expectations, and the
+    # co-duals and their way back, one list each
     calls = {"validate": 0, "join": 0, "joins": 0, "dual_state": 0, "dual_states": 0,
              "preceq": 0, "order_table": 0, "expectation": 0,
-             "choi_min_eig": 0, "as_idempotent_states": 0, "codual": 0,
+             "expectations": 0, "as_idempotent_states": 0, "codual": 0, "coduals": 0,
              "state_from_coideal": 0, "states_from_coideals": 0,
              "coideal_from_span": 0, "coideals_from_spans": 0,
-             "_close": 0, "build_lattice": 0}
+             "_close": 0, "build_lattice": 0, "generated_gns_basis": 0}
 
     def counted(module, attr, key):
         real = getattr(module, attr)
@@ -566,9 +599,10 @@ def test_property_suite_call_counts(monkeypatch):
     counted(coideal, "expectation", "expectation")
     counted(lattice, "_close", "_close")
     counted(lattice, "build_lattice", "build_lattice")
+    counted(lattice, "generated_gns_basis", "generated_gns_basis")
     for module in (harmonic, coideal, lattice, duality, checks):
         for attr in ("dual_state", "dual_states", "preceq", "order_table",
-                     "choi_min_eig", "as_idempotent_states", "codual",
+                     "expectations", "as_idempotent_states", "codual", "coduals",
                      "state_from_coideal", "states_from_coideals",
                      "coideal_from_span", "coideals_from_spans"):
             if hasattr(module, attr):
@@ -578,11 +612,11 @@ def test_property_suite_call_counts(monkeypatch):
     checks.run_all_checks(catalog.builtin("c_s3"))
     assert calls == {
         "validate": 1, "join": 0, "joins": 1, "dual_state": 0, "dual_states": 2,
-        "preceq": 0, "order_table": 2, "expectation": 6, "choi_min_eig": 6,
-        "as_idempotent_states": 5, "codual": 12,
+        "preceq": 0, "order_table": 2, "expectation": 0, "expectations": 1,
+        "as_idempotent_states": 6, "codual": 0, "coduals": 2,
         "state_from_coideal": 0, "states_from_coideals": 2,
-        "coideal_from_span": 18, "coideals_from_spans": 23,
-        "_close": 1, "build_lattice": 0}
+        "coideal_from_span": 0, "coideals_from_spans": 8,
+        "_close": 1, "build_lattice": 0, "generated_gns_basis": 6}
 
 
 def check_result(results, key):

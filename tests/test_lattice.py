@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qglab import catalog, checks, coideal, harmonic, hopf, lattice
 from qglab.errors import CriteriaDisagree, InternalInconsistency
-from qglab.linalg import frob
+from qglab.linalg import frob, subspace_intersection
 from conftest import assert_same_lattice, dihedral_table, named_group, s3_subgroup
 from test_basis_invariance import ill_conditioned_s3
 
@@ -706,3 +706,64 @@ def test_singleton_lattice_is_trivial(c_z2):
     assert lat.order.tolist() == [[True]]
     assert lat.hasse_edges == []
     assert lat.meet_table.tolist() == [[0]] and lat.join_table.tolist() == [[0]]
+
+
+# ----------------------------------------------------------------------
+# the closure's comparable pairs, read off the order
+# ----------------------------------------------------------------------
+
+def reference_close(states, tol=hopf.DERIVED_TOL):
+    # the closure that generates the meet and intersects the join of every
+    # pair, comparable or not, one pair at a time
+    states = list(states)
+    meets, joins = {}, {}
+
+    def index_of(basis):
+        proj = basis @ basis.conj().T
+        for idx, s in enumerate(states):
+            if (s.coideal.dim == basis.shape[1]
+                    and frob(s.l2_projection - proj) <= hopf.GAP * tol):
+                return idx
+        states.append(lattice._state_of_span(states[0].home, basis, tol))
+        return len(states) - 1
+
+    done = 0
+    while done < len(states):
+        size = len(states)
+        for i in range(size):
+            for j in range(max(i, done), size):
+                a, b = states[i].coideal, states[j].coideal
+                meets[i, j] = index_of(coideal.generated_gns_basis(a, b))
+                joins[i, j] = index_of(subspace_intersection(a.gns_basis(), b.gns_basis()))
+        done = size
+    k = len(states)
+    meet_table, join_table = np.zeros((k, k), dtype=int), np.zeros((k, k), dtype=int)
+    for (i, j), m in meets.items():
+        meet_table[i, j] = meet_table[j, i] = m
+        join_table[i, j] = join_table[j, i] = joins[i, j]
+    return states, meet_table, join_table
+
+
+@pytest.mark.parametrize("name", ["kp", "c_d4", "c_d5", "c_d6", "c_z2", "c_z3", "c_z4",
+                                  "c_s3", "cg_s3", "cg_z4"])
+def test_close_matches_a_closure_that_generates_every_pair(name):
+    # on the enumerated states in reverse, and on every second one, whose
+    # closure appends states
+    states = lattice.enumerate_idempotents(named_group(name)).states
+    for given in (states[::-1], states[::2]):
+        got = lattice._close(given, hopf.DERIVED_TOL)
+        expected = reference_close(given)
+        assert [s.coeffs.tolist() for s in got[0]] == [s.coeffs.tolist() for s in expected[0]]
+        assert np.array_equal(got[1], expected[1])
+        assert np.array_equal(got[2], expected[2])
+
+
+@pytest.mark.parametrize("name, generated", [("kp", 10), ("c_d6", 72), ("c_s3", 6)])
+def test_closure_generates_only_incomparable_pairs(name, generated, monkeypatch):
+    # KP: 26 of its 36 pairs are comparable; C(D6): 64 of 136
+    calls = []
+    real = lattice.generated_gns_basis
+    monkeypatch.setattr(lattice, "generated_gns_basis",
+                        lambda a, b: calls.append(1) or real(a, b))
+    lattice.enumerate_idempotents(named_group(name))
+    assert len(calls) == generated
