@@ -13,6 +13,12 @@ residual keeps the bits of its one-item form (linalg.frobs).  An item
 whose intermediate is n^4 (the regular unitary against a projection in
 dual-projection-identity) stays in a loop over items, so that memory grows
 with one item and not with the list.
+
+A round trip (state-coideal-bijection, double-dual-roundtrip,
+codual-involution, codual-state-consistency) computes its second route as
+plain arrays, by the raw half of the certifying constructor, so by the
+same arithmetic, and compares them with the held certified objects; it
+certifies nothing.
 """
 from __future__ import annotations
 
@@ -241,10 +247,12 @@ def _order_via_coideals(c):
 
 
 def _bijection(c):
-    backs = coideal.states_from_coideals([s.coideal for s in c.states], c.tol)
+    # each coideal's state and that state's range, as states_from_coideals
+    # and as_idempotent_states compute them
+    coeffs = coideal.candidate_coeffs([s.coideal for s in c.states])
     return _largest(np.maximum(
-        np.abs(np.array([back.coeffs for back in backs]) - c.coeffs).max(axis=-1),
-        frobs(np.array([back.l2_projection for back in backs]) - c.projs))), ""
+        np.abs(coeffs - c.coeffs).max(axis=-1),
+        frobs(coideal.range_projectors(c.group, coeffs) - c.projs))), ""
 
 
 def _expectation_projection(c):
@@ -311,7 +319,7 @@ def modular_law(lat: lattice.IdempotentLattice,
     t = hopf.gns(group).orthonormal_basis
     bases = [s.coideal.basis for s in states]
     pairs = [(o, m) for o in range(k) for m in range(k)]
-    plain = {}
+    plain = np.zeros((k, k), dtype=bool)
     for group_pairs in by_key([(bases[o].shape[1], bases[m].shape[1]) for o, m in pairs],
                               pairs).values():
         lefts, rights = (np.array([bases[pair[side]] for pair in group_pairs])
@@ -323,17 +331,13 @@ def modular_law(lat: lattice.IdempotentLattice,
         spans = u * (np.arange(u.shape[-1]) < ranks[:, None])[:, None, :]
         meets = np.array([states[lat.meet_table[o, m]].l2_projection for o, m in group_pairs])
         near = np.linalg.norm(spans @ dagger(spans) - meets, axis=(-2, -1)) < hopf.GAP * tol
-        plain.update(zip(group_pairs, near))
-    distances = {}
-    for o, m in pairs:
-        if not plain[o, m]:
-            continue
-        for r in range(k):
-            if lat.order[r, o] and commute[r, m]:
-                lhs = lat.meet_table[o, lat.join_table[m, r]]
-                rhs = lat.join_table[lat.meet_table[o, m], r]
-                distances[o, m, r] = sup(states[lhs].coeffs - states[rhs].coeffs)
-    return distances
+        plain[tuple(np.array(group_pairs).T)] = near
+    # [o, m, r]: the hypotheses, in the triples' row-major order
+    o, m, r = np.nonzero(plain[:, :, None] & lat.order.T[:, None, :] & commute.T[None])
+    lhs = lat.meet_table[o, lat.join_table[m, r]]
+    rhs = lat.join_table[lat.meet_table[o, m], r]
+    gaps = np.abs(coeffs[lhs] - coeffs[rhs]).max(axis=-1, initial=0.0)
+    return dict(zip(zip(o.tolist(), m.tolist(), r.tolist()), gaps.tolist()))
 
 
 def _modular_law(c):
@@ -347,7 +351,7 @@ def _coeffs(states) -> np.ndarray:
 
 def _double_dual(c):
     pair2 = duality.dual(c.pair.dual_group, c.tol)
-    backs = duality.dual_states(c.dual_states, pair2, c.tol)
+    backs = duality.dual_functionals(c.dual_states, pair2, c.tol)
     return _largest(np.abs(_coeffs(backs) - c.coeffs).max(axis=-1)), ""
 
 
@@ -357,17 +361,21 @@ def _dual_support_slice(c):
 
 
 def _codual_involution(c):
-    # the way back: the co-dual over the dual's dual, moved onto the group
+    # the way back: the co-dual's kernels over the dual's dual, orthonormalized
+    # there and then on the group, as coideals_from_spans orthonormalizes them
     mirror = duality.dual(c.pair.dual_group, c.tol)
-    backs = coideal.coideals_from_spans(
-        c.group, [once.basis for once in duality.coduals(c.coduals, mirror, c.tol)], c.tol)
-    return _largest(frobs(np.array([back.l2_projector() for back in backs]) - c.projs)), ""
+    _, once = coideal.orthonormal_spans(mirror.dual_group,
+                                        duality.codual_kernels(c.coduals, mirror))
+    _, backs = coideal.orthonormal_spans(c.group, once)
+    return _largest(frobs(coideal.l2_projectors(c.group, backs) - c.projs)), ""
 
 
 def _codual_state(c):
-    # the dual state by a second route: the state of the co-dual coideal
-    states = coideal.states_from_coideals(c.coduals, c.tol)
-    return _largest(np.abs(_coeffs(states) - _coeffs(c.dual_states)).max(axis=-1)), ""
+    # the dual state by a second route: the state of the co-dual coideal,
+    # whose range must be that coideal
+    coideal.require_ranges(c.dual_states, c.coduals, c.tol)
+    return _largest(np.abs(coideal.candidate_coeffs(c.coduals)
+                           - _coeffs(c.dual_states)).max(axis=-1)), ""
 
 
 def _exchange(c):

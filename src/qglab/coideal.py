@@ -43,7 +43,7 @@ from .linalg import (
     hermitize,
     orthonormal_columns,
     padded,
-    subspace_distance,
+    projector,
 )
 
 
@@ -67,8 +67,7 @@ class Coideal:
         return hopf.gns(self.home).orthonormal_basis @ self.basis
 
     def l2_projector(self) -> np.ndarray:
-        b = self.gns_basis()
-        return b @ dagger(b)
+        return l2_projectors(self.home, [self.basis])[0]
 
     def contains(self, vector, tol: float = DEFAULT_TOL) -> bool:
         v = hopf.gns(self.home).orthonormal_basis @ np.asarray(vector, complex)
@@ -119,24 +118,40 @@ def coideal_from_span(group, vectors, tol: float = DEFAULT_TOL) -> Coideal:
     return coideals_from_spans(group, [vectors], tol)[0]
 
 
-def coideals_from_spans(group, spans, tol: float = DEFAULT_TOL) -> list[Coideal]:
-    """coideal_from_span on each of a list of spanning sets.
+def orthonormal_spans(group, spans) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The raw half of coideals_from_spans: each span orthonormalized, certifying nothing.
 
-    The orthonormalizing SVDs run as one batch per shape of span, and the
-    certificates of all bases as one stack (_span_defects); then each span
-    is checked in turn, so the first span that fails raises.
+    Returns each span's GNS-orthonormal basis in L2 coordinates and the same
+    columns in algebra coordinates, the basis a Coideal holds.  The SVDs
+    run as one batch per shape of span.
     """
     space = hopf.gns(group)
     spans = [np.asarray(span) for span in spans]
-    if not spans:
-        return []
     bases = [None] * len(spans)
     for batch in by_key([span.shape for span in spans], range(len(spans))).values():
         u, s, _ = np.linalg.svd(space.orthonormal_basis @ np.array([spans[i] for i in batch]),
                                 full_matrices=False)
         for i, cols, values in zip(batch, u, s):
             bases[i] = cols[:, :_rank(values, RANK_TOL)]
-    algs = [space.inverse_basis @ basis for basis in bases]
+    return bases, [space.inverse_basis @ basis for basis in bases]
+
+
+def l2_projectors(group, algs) -> np.ndarray:
+    """The L2 projector of each algebra-coordinate basis: Coideal.l2_projector on a stack."""
+    t = hopf.gns(group).orthonormal_basis
+    return np.array([projector(t @ alg) for alg in algs])
+
+
+def coideals_from_spans(group, spans, tol: float = DEFAULT_TOL) -> list[Coideal]:
+    """coideal_from_span on each of a list of spanning sets.
+
+    The spans are orthonormalized by the raw half, orthonormal_spans; the
+    certificates of all bases run as one stack (_span_defects); then each
+    span is checked in turn, so the first span that fails raises.
+    """
+    if not len(spans):
+        return []
+    bases, algs = orthonormal_spans(group, spans)
     table = _span_defects(group, padded(algs), padded(bases))
     coids = []
     for i, basis_alg in enumerate(algs):
@@ -293,7 +308,7 @@ def as_idempotent_states(functionals, tol: float = DEFAULT_TOL) -> list[Idempote
     raises for the first functional that fails it.  An IdempotentState is
     returned unchanged, trusted at the tolerance it was built with.  The
     map-level certificates (complete positivity, bimodularity) live in
-    expectation().
+    expectation().  The raw half of l2_projection is range_projectors.
     """
     out = list(functionals)
     todo = [i for i, phi in enumerate(out) if not isinstance(phi, IdempotentState)]
@@ -313,7 +328,7 @@ def as_idempotent_states(functionals, tol: float = DEFAULT_TOL) -> list[Idempote
     except (NotASubalgebra, NotACoideal) as exc:
         raise InternalInconsistency(
             f"expectation range failed certification: {exc}") from exc
-    projs = np.array([coid.l2_projector() for coid in coids])
+    projs = l2_projectors(group, [coid.basis for coid in coids])
     for gap in np.linalg.norm(hopf.gns(group).on_l2(es) - projs, axis=(-2, -1)):
         if gap > hopf.GAP * tol:
             raise InternalInconsistency(
@@ -329,6 +344,15 @@ def as_idempotent_states(functionals, tol: float = DEFAULT_TOL) -> list[Idempote
     return out
 
 
+def range_projectors(group, coeffs) -> np.ndarray:
+    """The raw half of as_idempotent_states' l2_projection, certifying nothing.
+
+    Each coefficient row's expectation range, through orthonormal_spans.
+    """
+    _, algs = orthonormal_spans(group, expectation_matrices(group, coeffs))
+    return l2_projectors(group, algs)
+
+
 def state_from_coideal(coid: Coideal, tol: float = DEFAULT_TOL,
                        name: str | None = None) -> IdempotentState:
     """The unique idempotent state whose expectation range is the coideal.
@@ -342,21 +366,36 @@ def states_from_coideals(coids, tol: float = DEFAULT_TOL,
                          names=None) -> list[IdempotentState]:
     """The unique idempotent state of each coideal, whose expectation range it is.
 
-    The candidate is the counit composed with the trace-preserving
-    expectation; the coideal's type is trusted.  as_idempotent_states
-    verifies the candidates, raising NotIdempotent, and each range must
-    come back unchanged (NotACoideal otherwise).  The projection identity
-    of the coideal's GNS projection against the regular unitary is a
-    theorem about the resulting state; the property suite verifies it for
-    every state.
+    The candidates come from the raw half, candidate_coeffs; the coideal's
+    type is trusted.  as_idempotent_states verifies the candidates, raising
+    NotIdempotent, and each range must come back unchanged (require_ranges).
+    The projection identity of the coideal's GNS projection against the
+    regular unitary is a theorem about the resulting state; the property
+    suite verifies it for every state.
     """
     group = coids[0].home
-    candidates = [Functional(home=group, coeffs=group.counit @ trace_expectation(coid),
-                             name=name)
-                  for coid, name in zip(coids, names or [None] * len(coids))]
+    candidates = [Functional(home=group, coeffs=coeffs, name=name)
+                  for coeffs, name in zip(candidate_coeffs(coids),
+                                          names or [None] * len(coids))]
     states = as_idempotent_states(candidates, tol)
-    for coid, state in zip(coids, states):
-        gap = subspace_distance(state.coideal.gns_basis(), coid.gns_basis())
+    require_ranges(states, coids, tol)
+    return states
+
+
+def candidate_coeffs(coids) -> np.ndarray:
+    """The raw half of states_from_coideals, certifying nothing.
+
+    Each coideal's candidate state, the counit after the trace expectation.
+    """
+    return np.array([coid.home.counit @ trace_expectation(coid) for coid in coids])
+
+
+def require_ranges(states, coids, tol: float = DEFAULT_TOL) -> None:
+    """Raise NotACoideal unless each state's L2 projection is its coideal's.
+
+    They must lie within hopf.GAP * tol.
+    """
+    for state, coid in zip(states, coids):
+        gap = frob(state.l2_projection - coid.l2_projector())
         if gap > hopf.GAP * tol:
             raise NotACoideal(f"state's range differs from the input coideal ({gap:.2e})")
-    return states

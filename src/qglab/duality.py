@@ -279,21 +279,28 @@ def coduals(coids, pair: DualPair, tol: float = DEFAULT_TOL) -> list[Coideal]:
     of that size, and on the scalars (the Haar state's coideal) G = 0.  On
     every example the kernel's eigenvalues lie below 2.1e-15 * r * max |P|
     and the others at 2 r max |P|.  The way back is the co-dual over
-    dual(pair.dual_group), whose dual group has the group's tensors, moved
-    onto the group by coideals_from_spans.
+    dual(pair.dual_group), whose dual group has the group's tensors; the
+    suite's codual-involution check compares it with N.
+
+    The kernels are the raw half, codual_kernels; coideals_from_spans
+    certifies them, batched by dimension, raising for the first that fails.
+    """
+    return coideals_from_spans(pair.dual_group, codual_kernels(coids, pair), tol)
+
+
+def codual_kernels(coids, pair: DualPair) -> list[np.ndarray]:
+    """The raw half of coduals: each Gram matrix's kernel, certifying nothing.
 
     P and c* P are formed once.  The c* (P (x) Q) c^T contraction does n^4
     work per coideal, so each Gram matrix is built in turn (stacking them
     would hold every coideal's n^3 intermediates at once); one batched eigh
-    then takes every kernel, and coideals_from_spans certifies the kernels,
-    batched by dimension, raising for the first that fails.
+    then takes every kernel.
     """
     grams, cuts = _codual_grams(coids, pair)
     if not len(grams):
         return []
     spectra, bases = np.linalg.eigh(grams)
-    return coideals_from_spans(pair.dual_group, [
-        vecs[:, evals <= cut] for evals, vecs, cut in zip(spectra, bases, cuts)], tol)
+    return [vecs[:, evals <= cut] for evals, vecs, cut in zip(spectra, bases, cuts)]
 
 
 # ----------------------------------------------------------------------
@@ -321,13 +328,10 @@ def dual_states(states, pair: DualPair, tol: float = DEFAULT_TOL) -> list[Idempo
     by as_idempotent_states.  That a dual state's range is the co-dual of
     the original range follows through the state-coideal bijection; the
     suite's codual-state-consistency check verifies it for every state.
+    The candidates are the raw half, dual_functionals.
     """
-    dual_group = pair.dual_group
-    outs = as_idempotent_states(
-        [state_from_qperp(dual_group, state.coeffs, tol,
-                          name=f"dual({state.name})" if state.name else None)
-         for state in states], tol)
-    n = dual_group.dim
+    outs = as_idempotent_states(dual_functionals(states, pair, tol), tol)
+    n = pair.dual_group.dim
     held = np.array([[s.q_perp, s.coeffs] for s in states]).reshape(-1, 2, n)
     got = np.array([[s.coeffs, s.q_perp] for s in outs]).reshape(-1, 2, n)
     # [i, 0]: the slice against the support; [i, 1]: the support against the state
@@ -340,3 +344,10 @@ def dual_states(states, pair: DualPair, tol: float = DEFAULT_TOL) -> list[Idempo
             raise InternalInconsistency(
                 "dual state's support is not the original coefficient vector")
     return outs
+
+
+def dual_functionals(states, pair: DualPair, tol: float = DEFAULT_TOL) -> list[Functional]:
+    """The raw half of dual_states, verifying no state: each state_from_qperp on the dual."""
+    return [state_from_qperp(pair.dual_group, state.coeffs, tol,
+                             name=f"dual({state.name})" if state.name else None)
+            for state in states]

@@ -371,7 +371,7 @@ def gns(group: FiniteQuantumGroup) -> GnsSpace:
     to_l2 = roots[:, None] * dagger(vecs)
     from_l2 = vecs * (1.0 / roots)[None, :]
     left_alg = group.mult.transpose(0, 2, 1)
-    left_l2 = np.einsum("ab,ibc,cd->iad", to_l2, left_alg, from_l2)
+    left_l2 = to_l2 @ left_alg @ from_l2
     return GnsSpace(group=group, gram=gram, orthonormal_basis=to_l2,
                     inverse_basis=from_l2, left_mult=left_l2)
 

@@ -421,8 +421,10 @@ def _generated_limits(group, tol):
 def _generated_states(group, tol):
     """Generated idempotents of the group and of its dual, and their counts.
 
-    The dual's limits are pulled back by dual_state on the dual's own pair,
-    whose dual group has the group's coordinates.  Returns the distinct
+    The dual's limits are pulled back by dual_functionals, the raw half of
+    dual_state, on the dual's own pair, whose dual group has the group's
+    coordinates.  A pull-back is certified once, on the group, with the
+    rest of the list (enumerate_idempotents).  Returns the distinct
     functionals of both sides (the group's first) and the report's counts
     except the closure's.
     """
@@ -430,8 +432,8 @@ def _generated_states(group, tol):
     dual_group = duality.dual(group, tol).dual_group
     theirs = _generated_limits(dual_group, tol)
     back = duality.dual(dual_group, tol)
-    pulled = [Functional(home=group, coeffs=s.coeffs)
-              for s in duality.dual_states(as_idempotent_states(theirs, tol), back, tol)]
+    pulled = [Functional(home=group, coeffs=f.coeffs)
+              for f in duality.dual_functionals(theirs, back, tol)]
 
     both = _dedup(ours + pulled, tol)   # each side's limits are distinct
     counts = {"seeds": {"group": group.dim, "dual": dual_group.dim},

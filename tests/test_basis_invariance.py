@@ -57,6 +57,15 @@ def test_invariant_state_transports(moved_s3):
     assert np.max(np.abs(computed - g.haar @ m)) < 1e-10
 
 
+def test_gns_left_mult_matches_its_einsum(moved_s3):
+    # the three-factor product against the one einsum it replaced
+    _, _, moved = moved_s3
+    space = hopf.gns(moved)
+    oracle = np.einsum("ab,ibc,cd->iad", space.orthonormal_basis,
+                       moved.mult.transpose(0, 2, 1), space.inverse_basis)
+    assert np.abs(space.left_mult - oracle).max() < 1e-14
+
+
 def test_generated_recovers_transported_catalog(moved_s3):
     g, m, moved = moved_s3
     enum = lattice.enumerate_idempotents(moved)

@@ -575,9 +575,11 @@ def test_property_suite_call_counts(monkeypatch):
     # incomparable.  Each lattice reads its order from one table (the
     # enumeration's, and the dual states' in duality-exchange); the order
     # check reads coideal containment off the held bases.  Lists are
-    # verified together: the suite's dual states, the double dual's, the
-    # states of the coideals and of the co-duals, the expectations, and the
-    # co-duals and their way back, one list each
+    # verified together: the enumeration's states, the suite's dual states,
+    # the expectations (a pass-through of typed states) and the co-duals,
+    # one list each.  The round trips (state-coideal-bijection,
+    # double-dual-roundtrip, codual-involution, codual-state-consistency)
+    # compute their second routes as arrays and certify nothing
     calls = {"validate": 0, "join": 0, "joins": 0, "dual_state": 0, "dual_states": 0,
              "preceq": 0, "order_table": 0, "expectation": 0,
              "expectations": 0, "as_idempotent_states": 0, "codual": 0, "coduals": 0,
@@ -611,11 +613,11 @@ def test_property_suite_call_counts(monkeypatch):
     duality.dual.cache_clear()
     checks.run_all_checks(catalog.builtin("c_s3"))
     assert calls == {
-        "validate": 1, "join": 0, "joins": 1, "dual_state": 0, "dual_states": 2,
+        "validate": 1, "join": 0, "joins": 1, "dual_state": 0, "dual_states": 1,
         "preceq": 0, "order_table": 2, "expectation": 0, "expectations": 1,
-        "as_idempotent_states": 6, "codual": 0, "coduals": 2,
-        "state_from_coideal": 0, "states_from_coideals": 2,
-        "coideal_from_span": 0, "coideals_from_spans": 8,
+        "as_idempotent_states": 3, "codual": 0, "coduals": 1,
+        "state_from_coideal": 0, "states_from_coideals": 0,
+        "coideal_from_span": 0, "coideals_from_spans": 3,
         "_close": 1, "build_lattice": 0, "generated_gns_basis": 6}
 
 
