@@ -104,21 +104,23 @@ _COMMANDS = {
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser of the command line argv.
 
-    Every subcommand is listed with its help line, but only the one that
-    argv[0] names gets its arguments; when it names none (or argv is None)
-    every subcommand gets them.  The help and usage texts are the same
-    either way.
+    When argv[0] names a subcommand, only that subcommand is added; when it
+    names none (or argv is None) every subcommand is.  The explicit metavar
+    keeps the top-level usage line listing every subcommand, so the help,
+    usage and error texts are the same either way.
     """
     parser = argparse.ArgumentParser(
         prog="qglab",
         description="idempotent states, coideal lattices and duality "
                     "on finite quantum groups")
-    commands = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _COMMANDS else None
+    # not when none is named: the metavar would rename the argument in
+    # argparse's "invalid choice" and "required" errors
+    metavar = None if named is None else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, add_arguments) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=help_text)
         if named in (None, name):
-            add_arguments(sub)
+            add_arguments(commands.add_parser(name, help=help_text))
     return parser
 
 

@@ -3,8 +3,10 @@
 The dual algebra lives on the dual vector space with convolution as
 product; the regular unitary acts on L2 (x) L2, implements the coproduct
 and intertwines the two sides.  The unitary is W(a (x) b) =
-coproduct(a)(1 (x) b), certified by its battery (unitarity, pentagon
-identity, counit and invariant-state slices).  The pentagon residual is a
+coproduct(a)(1 (x) b), built from its legs as sum_k c_k (x) L2(e_k) in n^5
+work and certified by its battery (unitarity, pentagon identity, counit
+and invariant-state slices, and the least-squares fit of its second
+legs).  The pentagon residual is a
 seeded probe estimate in n^5 work: for this W the identity is equivalent
 to coassociativity, which validation certifies exactly, so the estimate
 is a cross-check of how W is built.  The dual's tensors are the
@@ -54,14 +56,6 @@ W_KIND = "coproduct-first-factor"   # W(a (x) b) = coproduct(a)(1 (x) b)
 CODUAL_CUT = 1e-8   # the kernel cut of codual's Gram matrix, times r * max |P|
 
 
-def _galois_matrix(group: hopf.FiniteQuantumGroup) -> np.ndarray:
-    """Algebra-coordinate matrix of a (x) b -> coproduct(a) (1 (x) b)."""
-    n = group.dim
-    # one matmul, rows (i, p) and columns (j, r), then to rows (p, r)
-    mat = group.comult.reshape(n * n, n) @ group.mult.reshape(n, n * n)
-    return mat.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
-
-
 def _apply_legs(w: np.ndarray, v: np.ndarray, legs: tuple[int, int]) -> np.ndarray:
     """W acting on two legs of probes v[i1, i2, i3, probe], as one matmul."""
     n = v.shape[0]
@@ -92,7 +86,12 @@ def pentagon_defect(w: np.ndarray, n: int) -> float:
 
 
 def _second_leg_fit(w: np.ndarray, space: hopf.GnsSpace) -> tuple[np.ndarray, float]:
-    """Write w = sum_k c_k (x) L2(e_k); return (c, fit residual)."""
+    """Write w = sum_k c_k (x) L2(e_k); return (c, fit residual).
+
+    W is formed as a sum of such legs, so the residual checks that it
+    factors back through L(A): the least-squares legs against the left
+    regular representation reproduce W.
+    """
     n = space.group.dim
     rep = space.left_mult.transpose(1, 2, 0).reshape(n * n, n)
     wt = w.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
@@ -121,12 +120,21 @@ def _unitary_battery(group, w, legs, space) -> dict[str, float]:
 @lru_cache(maxsize=32)
 def regular_unitary(group: hopf.FiniteQuantumGroup,
                     tol: float = DEFAULT_TOL) -> RegularUnitary:
-    """Build the regular unitary on L2 (x) L2 and certify it by its battery."""
+    """Build the regular unitary on L2 (x) L2 and certify it by its battery.
+
+    In algebra coordinates a (x) b -> coproduct(a)(1 (x) b) is
+    sum_k A_k (x) L(e_k), with A_k[p, i] = comult[i, p, k] and L(e_k) the
+    left multiplication by e_k; so W = sum_k c_k (x) L2(e_k) with
+    c_k = T A_k T^-1, T the orthonormal basis.  One batched product forms
+    the c_k and one matmul the sum, n^5 work in all.
+    """
     group = hopf.with_haar(group)
     space = hopf.gns(group)
-    tt = np.kron(space.orthonormal_basis, space.orthonormal_basis)
-    tt_inv = np.kron(space.inverse_basis, space.inverse_basis)
-    w = tt @ _galois_matrix(group) @ tt_inv
+    n = group.dim
+    firsts = space.orthonormal_basis @ group.comult.transpose(2, 1, 0) @ space.inverse_basis
+    # rows (p, i) and columns (r, j), then to rows (p, r) and columns (i, j)
+    w = firsts.reshape(n, n * n).T @ space.left_mult.reshape(n, n * n)
+    w = w.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     legs, fit = _second_leg_fit(w, space)
     res = _unitary_battery(group, w, legs, space)
     res["second-leg-fit"] = fit

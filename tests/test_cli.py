@@ -453,7 +453,7 @@ def test_search_is_not_a_strategy(z2_file, capsys):
 
 def every_subcommand_parser(argv=None):
     # the parser as it was before each command line built only its own
-    # subcommand's arguments
+    # subcommand
     parser = argparse.ArgumentParser(
         prog="qglab",
         description="idempotent states, coideal lattices and duality "
@@ -496,7 +496,8 @@ def outcome(capsys, argv):
     *([name, "--help"] for name in cli._COMMANDS),
     ["check", "no-such-file.json"], ["check", "x.json", "--tol", "0"],
     ["examples", "c_q8"], ["idempotents", "x.json", "--strategy", "search"],
-    ["lattice", "x.json", "--seed", "1"]])
+    ["lattice", "x.json", "--seed", "1"], ["dual", "x.json", "extra"],
+    ["validate", "x.json", "--bogus"]])
 def test_per_command_parser_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
     # help, usage errors and exit codes, byte for byte, at a fixed width
     monkeypatch.setenv("COLUMNS", "80")
@@ -511,8 +512,10 @@ def test_only_the_named_subcommand_gets_its_arguments():
         action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         return action.choices
 
-    named = subparsers(cli.build_parser(["check", "x.json"]))
-    assert list(named) == list(cli._COMMANDS)
-    assert {name for name, p in named.items() if len(p._actions) > 1} == {"check"}
-    every = subparsers(cli.build_parser(["no-command"]))
-    assert all(len(p._actions) > 1 for p in every.values())
+    for name in cli._COMMANDS:
+        named = subparsers(cli.build_parser([name, "x.json"]))
+        assert list(named) == [name] and len(named[name]._actions) > 1
+    for argv in (["--help"], ["no-command"], [], None):
+        every = subparsers(cli.build_parser(argv))
+        assert list(every) == list(cli._COMMANDS)
+        assert all(len(p._actions) > 1 for p in every.values())
