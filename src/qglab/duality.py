@@ -4,9 +4,9 @@ The dual algebra lives on the dual vector space with convolution as
 product; the regular unitary acts on L2 (x) L2, implements the coproduct
 and intertwines the two sides.  The unitary is W(a (x) b) =
 coproduct(a)(1 (x) b), built from its legs as sum_k c_k (x) L2(e_k) in n^5
-work and certified by its battery (unitarity, pentagon identity, counit
-and invariant-state slices, and the least-squares fit of its second
-legs).  The pentagon residual is a
+work, so its second legs are the c_k it is built from; it is certified by
+its battery (unitarity, pentagon identity, counit and invariant-state
+slices of those legs).  The pentagon residual is a
 seeded probe estimate in n^5 work: for this W the identity is equivalent
 to coassociativity, which validation certifies exactly, so the estimate
 is a cross-check of how W is built.  The dual's tensors are the
@@ -85,22 +85,6 @@ def pentagon_defect(w: np.ndarray, n: int) -> float:
     return float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2) / k))
 
 
-def _second_leg_fit(w: np.ndarray, space: hopf.GnsSpace) -> tuple[np.ndarray, float]:
-    """Write w = sum_k c_k (x) L2(e_k); return (c, fit residual).
-
-    W is formed as a sum of such legs, so the residual checks that it
-    factors back through L(A): the least-squares legs against the left
-    regular representation reproduce W.
-    """
-    n = space.group.dim
-    rep = space.left_mult.transpose(1, 2, 0).reshape(n * n, n)
-    wt = w.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    sol, _, _, _ = np.linalg.lstsq(rep, wt.T, rcond=None)
-    fit = frob(rep @ sol - wt.T)
-    legs = sol.T.reshape(n, n, n).transpose(2, 0, 1)
-    return legs, fit
-
-
 def _unitary_battery(group, w, legs, space) -> dict[str, float]:
     n = group.dim
     res = {
@@ -131,13 +115,11 @@ def regular_unitary(group: hopf.FiniteQuantumGroup,
     group = hopf.with_haar(group)
     space = hopf.gns(group)
     n = group.dim
-    firsts = space.orthonormal_basis @ group.comult.transpose(2, 1, 0) @ space.inverse_basis
+    legs = space.orthonormal_basis @ group.comult.transpose(2, 1, 0) @ space.inverse_basis
     # rows (p, i) and columns (r, j), then to rows (p, r) and columns (i, j)
-    w = firsts.reshape(n, n * n).T @ space.left_mult.reshape(n, n * n)
+    w = legs.reshape(n, n * n).T @ space.left_mult.reshape(n, n * n)
     w = w.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    legs, fit = _second_leg_fit(w, space)
     res = _unitary_battery(group, w, legs, space)
-    res["second-leg-fit"] = fit
     if not all(v < tol for v in res.values()):
         raise ConventionFailure(f"the regular unitary fails its battery: {res}")
     return RegularUnitary(group=group, w=w, second_legs=legs, residuals=res)

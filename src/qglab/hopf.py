@@ -476,45 +476,40 @@ def group_algebra(table, labels=None) -> FiniteQuantumGroup:
 # JSON serialization
 # ----------------------------------------------------------------------
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """values' distinct entries, sorted."""
-    # np.sort, not np.unique: np.unique imports numpy.ma, 1.3 MB of peak RSS
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
 def _pairs_json(arr: np.ndarray, indent: str | None, level: int) -> str:
     """The JSON of arr's nested [re, im] pairs, written at nesting level.
 
     Negative zeros become 0.0.  One C-encoder call renders each distinct
-    float once (every NaN prints alike), and each entry is found as a pair
-    of indices into the distinct floats.  Each distinct pair's [re, im]
-    block is laid out once, and one join lays out the array, each entry's
-    block followed by its separator.
+    float once (every NaN prints alike), a search finds each float's text,
+    and one join lays out the array, each float followed by its separator.
     """
     floats = (np.asarray(arr, complex) + 0.0).ravel().view(float)  # re, im, re, ...
-    distinct = _distinct(floats)
+    # np.sort, not np.unique: np.unique imports numpy.ma, 1.3 MB of peak RSS
+    ordered = np.sort(floats)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     texts = json.dumps(distinct.tolist())[1:-1].split(", ")
-    index = np.searchsorted(distinct, floats)
-    codes = index[0::2] * len(distinct) + index[1::2]   # one per (re, im) pair
-    pairs = _distinct(codes)
+    texts = np.array(texts, object)[np.searchsorted(distinct, floats)].tolist()
     newline, indent = ("", "") if indent is None else ("\n", indent)
-    inner = newline + indent * (level + np.ndim(arr) + 1)
-    end = newline + indent * (level + np.ndim(arr)) + "]"
-    re, im = np.divmod(pairs, len(distinct))
-    blocks = [f"[{inner}{texts[i]},{inner}{texts[j]}{end}" for i, j in zip(re.tolist(), im.tolist())]
-    blocks = np.array(blocks, object)[np.searchsorted(pairs, codes)].tolist()
     # innermost axis first: one list's separators, repeated for each item
     seps, close, opens = [None], "", ""
-    for depth, size in reversed(list(enumerate(np.shape(arr)))):
+    for depth, size in reversed(list(enumerate(np.shape(arr) + (2,)))):
         seps[-1] = close + "," + newline + indent * (level + depth + 1) + opens
         seps = seps * size
         close += newline + indent * (level + depth) + "]"
         opens = "[" + newline + indent * (level + depth + 1) + opens
     seps[-1] = close
     parts = [opens] * (2 * len(seps) + 1)
-    parts[1::2], parts[2::2] = blocks, seps
+    parts[1::2], parts[2::2] = texts, seps
     return "".join(parts)
+
+
+def _holds_array(obj) -> bool:
+    """Whether obj is an ndarray or holds one in its dicts and lists."""
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return isinstance(obj, np.ndarray)
+    return any(_holds_array(x) for x in obj)
 
 
 def report_json(obj, indent: str | None = "  ", level: int = 0) -> str:
@@ -536,14 +531,9 @@ def report_json(obj, indent: str | None = "  ", level: int = 0) -> str:
         return json.dumps(obj)
     colon = ":" if indent is None else ": "
     newline, step = ("", "") if indent is None else ("\n", indent)
-    children = obj.values() if isinstance(obj, dict) else obj
-    if not any(isinstance(x, np.ndarray) for x in children):
-        try:
-            text = json.dumps(obj, sort_keys=True, indent=indent, separators=(",", colon))
-        except TypeError:  # an ndarray deeper inside, or a leaf json cannot encode
-            pass
-        else:
-            return text.replace("\n", "\n" + step * level) if level else text
+    if not _holds_array(obj):
+        text = json.dumps(obj, sort_keys=True, indent=indent, separators=(",", colon))
+        return text.replace("\n", "\n" + step * level) if level else text
     if isinstance(obj, dict):
         items = [json.dumps(key) + colon + report_json(obj[key], indent, level + 1)
                  for key in sorted(obj)]

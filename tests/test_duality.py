@@ -64,6 +64,13 @@ def test_w_from_its_legs_matches_the_sandwich(name):
     oracle = sandwich_oracle(pair.group)
     assert np.linalg.norm(pair.regular.w - oracle) <= 1e-14 * np.linalg.norm(oracle)
     assert max(pair.residuals.values()) < 1e-10
+    # the legs W is built from are the least-squares legs of the oracle
+    n = g.dim
+    rep = hopf.gns(pair.group).left_mult.transpose(1, 2, 0).reshape(n * n, n)
+    wt = oracle.astype(complex).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    fitted = np.linalg.lstsq(rep, wt.T, rcond=None)[0].T.reshape(n, n, n).transpose(2, 0, 1)
+    legs = pair.regular.second_legs
+    assert np.linalg.norm(legs - fitted) <= 1e-13 * np.linalg.norm(fitted)
 
 
 def dense_pentagon_defect(w, n):
@@ -186,9 +193,12 @@ def test_rejected_convention_fails_visibly(c_s3):
     space = hopf.gns(reg.group)
     w = reg.w.copy()
     w[0, 0] += 1e-3
-    legs, fit = duality._second_leg_fit(w, space)
-    res = duality._unitary_battery(reg.group, w, legs, space)
-    res["second-leg-fit"] = fit
+    res = duality._unitary_battery(reg.group, w, reg.second_legs, space)
+    assert max(res.values()) > 1e-6
+    # and so must legs with one entry bumped, whatever W they come with
+    legs = reg.second_legs.copy()
+    legs[0, 0, 0] += 1e-3
+    res = duality._unitary_battery(reg.group, reg.w, legs, space)
     assert max(res.values()) > 1e-6
 
 
